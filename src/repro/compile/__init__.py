@@ -4,12 +4,14 @@ The interpreted autodiff in :mod:`repro.tensor` spends most of an ST-WA
 step dispatching thousands of tiny Python ops and building a fresh graph
 every batch.  This package removes that overhead for fixed-shape steps:
 
-* :class:`CaptureRecorder` rides the op-trace hook in
-  :mod:`repro.tensor.ops` to record one interpreted step's op stream;
+* :class:`CaptureRecorder` is the ``capture`` interceptor of the op
+  dispatch point in :mod:`repro.tensor.ops`; it records one interpreted
+  step's op stream (rule, operands, static arguments, output);
 * :func:`lower_training_plan` / :func:`lower_predict_plan` lower the
   stream to a :class:`CompiledPlan` — a linear instruction program over
   preallocated buffers with fused elementwise chains and a precomputed
-  tape-free adjoint program (no graph, no tape, no per-step allocation);
+  tape-free adjoint program (no graph, no tape, no per-step allocation),
+  built from the same op rules the tape interprets;
 * :class:`PlanCache` keys plans by shape/dtype signature (LRU-bounded,
   dead signatures cached too);
 * :class:`CompiledExecutor` packages it behind the

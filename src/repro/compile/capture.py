@@ -1,10 +1,10 @@
 """Capture: record one interpreted step's op stream for compilation.
 
-A :class:`CaptureRecorder` is installed into the traced-op wrapper
-(:func:`repro.tensor.ops.set_op_capture`) around exactly one forward(+loss)
-pass.  Every primitive reports ``(name, args, kwargs, out)`` in execution
-order; the recorder keeps *strong references* to every argument and output
-tensor so Python never recycles an ``id()`` mid-capture — identity is how
+A :class:`CaptureRecorder` is installed as the ``capture`` interceptor
+(``repro.tensor.set_hooks(capture=...)``) around exactly one forward(+loss)
+pass.  Every primitive reports ``(rule, operands, static, out)`` in
+execution order; the recorder keeps *strong references* to every operand
+and output tensor so Python never recycles an ``id()`` mid-capture — identity is how
 the lowering pass (:mod:`repro.compile.plan`) later tells parameters,
 step inputs, per-step host arrays, and frozen constants apart.
 
@@ -37,15 +37,20 @@ __all__ = ["CaptureRecorder", "TraceRecord"]
 
 
 class TraceRecord:
-    """One primitive-op call: name, raw args/kwargs, and the output tensor."""
+    """One primitive-op call: its rule, operand tensors, static arguments
+    (already normalised by the rule's binder) and the output tensor."""
 
-    __slots__ = ("name", "args", "kwargs", "out")
+    __slots__ = ("rule", "ins", "static", "out")
 
-    def __init__(self, name: str, args: tuple, kwargs: dict, out) -> None:
-        self.name = name
-        self.args = args
-        self.kwargs = kwargs
+    def __init__(self, rule, ins: tuple, static, out) -> None:
+        self.rule = rule
+        self.ins = ins
+        self.static = static
         self.out = out
+
+    @property
+    def name(self) -> str:
+        return self.rule.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceRecord({self.name}, out_shape={self.out.data.shape})"
@@ -79,8 +84,8 @@ class CaptureRecorder:
     # ------------------------------------------------------------------ #
     # hook API (called from repro.tensor.ops)
     # ------------------------------------------------------------------ #
-    def record_op(self, name: str, args: tuple, kwargs: dict, out) -> None:
-        self.records.append(TraceRecord(name, args, kwargs, out))
+    def record_op(self, rule, ins: tuple, static, out) -> None:
+        self.records.append(TraceRecord(rule, ins, static, out))
 
     def record_host_input(self, value: np.ndarray, regen) -> None:
         key = id(value)

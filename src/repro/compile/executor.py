@@ -31,8 +31,7 @@ from ..core.loss import STWALoss
 from ..exec.base import Batch, Executor, StepResult, Weights
 from ..exec.inference import InferenceExecutor
 from ..exec.serial import SerialExecutor
-from ..tensor import Tensor, no_grad
-from ..tensor import ops
+from ..tensor import Tensor, hooks, no_grad, set_hooks
 from .capture import CaptureRecorder
 from .cache import PlanCache
 from .plan import CompiledPlan, LoweringError, lower_predict_plan, lower_training_plan
@@ -101,11 +100,12 @@ class CompiledExecutor(Executor):
         """Reason the *observability* machinery forces the interpreted path."""
         if self.detect_anomaly:
             return "detect_anomaly"
-        if ops.op_trace_active():
+        current = hooks()
+        if current.trace is not None:
             return "op_trace_hook"
-        if ops.anomaly_check_active() is not None:
+        if current.anomaly is not None:
             return "anomaly_context"
-        if ops.op_capture_active():
+        if current.capture is not None:
             return "nested_capture"
         return None
 
@@ -191,7 +191,7 @@ class CompiledExecutor(Executor):
         recorder = CaptureRecorder()
         recorder.register_params(self._parameters)
         rng_before = self._rng_states()
-        previous = ops.set_op_capture(recorder)
+        previous = set_hooks(capture=recorder)
         try:
             x_t, y_t = Tensor(x), Tensor(y)
             recorder.register_input("x", x_t)
@@ -210,7 +210,7 @@ class CompiledExecutor(Executor):
         finally:
             # a raising trace (divergence, injected faults) must not poison
             # the signature: uninstall and let the error propagate untraced
-            ops.set_op_capture(previous)
+            set_hooks(**previous)
 
         def interpreted() -> StepResult:
             return StepResult(
@@ -323,14 +323,14 @@ class CompiledExecutor(Executor):
         rng_before = self._rng_states()
         was_training = self.model.training
         self.model.eval()
-        previous = ops.set_op_capture(recorder)
+        previous = set_hooks(capture=recorder)
         try:
             with no_grad():
                 x_t = Tensor(window)
                 recorder.register_input("x", x_t)
                 out_t = self.model(x_t)
         finally:
-            ops.set_op_capture(previous)
+            set_hooks(**previous)
             self.model.train(was_training)
         captured = out_t.numpy()
         if recorder.dead:

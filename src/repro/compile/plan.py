@@ -16,6 +16,15 @@
   reverse — assign-vs-accumulate is decided per gradient buffer at build
   time, so replay does no tape, no graph, and no autograd bookkeeping.
 
+Both programs interpret the rule table of :mod:`repro.tensor.ops` — the
+same forwards and adjoints the tape runs.  Everything the tape decides per
+call is decided here once per instruction: operand arity, scratch and
+output buffers, the fixed views of gradient buffers, whether a computed
+contribution can be written straight into its gradient buffer (its
+natural shape matches), and whether it is the first contribution
+(assign) or a later one (accumulate, through one shared staging buffer
+per shape when the adjoint has no single-pass form).
+
 Anything the op stream cannot faithfully replay raises
 :class:`LoweringError` — ``where`` (its condition is Python-level data
 that would freeze one batch's mask into the plan), host inputs without a
@@ -27,13 +36,14 @@ interpreted-only" and falls back.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..tensor.tensor import Tensor
-from .capture import CaptureRecorder, TraceRecord
-from .kernels import ADJOINT, FORWARD, FUSABLE, reduce_grad
+from ..tensor.ops import scratch_shapes
+from ..tensor.tensor import Tensor, unbroadcast
+from .capture import CaptureRecorder
 
 __all__ = ["CompiledPlan", "LoweringError", "lower_predict_plan", "lower_training_plan"]
 
@@ -43,15 +53,15 @@ class LoweringError(RuntimeError):
 
 
 class _LoweredOp:
-    """One primitive with node-id operands and build-time static config."""
+    """One primitive: its rule, node-id operands and static arguments."""
 
-    __slots__ = ("name", "ins", "out", "static")
+    __slots__ = ("rule", "ins", "out", "st")
 
-    def __init__(self, name: str, ins: Tuple[int, ...], out: int, static: dict) -> None:
-        self.name = name
+    def __init__(self, rule, ins: Tuple[int, ...], out: int, st) -> None:
+        self.rule = rule
         self.ins = ins
         self.out = out
-        self.static = static
+        self.st = st
 
 
 class _Node:
@@ -62,19 +72,6 @@ class _Node:
         self.shape = shape
         self.dtype = dtype
         self.requires = requires
-
-
-_REQUIRED = object()
-
-
-def _arg(args: tuple, kwargs: dict, position: int, name: str, default=_REQUIRED):
-    if position < len(args):
-        return args[position]
-    if name in kwargs:
-        return kwargs[name]
-    if default is _REQUIRED:
-        raise LoweringError(f"captured op missing argument {name!r}")
-    return default
 
 
 class CompiledPlan:
@@ -131,11 +128,7 @@ class CompiledPlan:
 
 
 class _PlanBuilder:
-    """Node table + buffer arena + assign/accumulate bookkeeping.
-
-    This is the ``ctx`` object the kernel builders in
-    :mod:`repro.compile.kernels` program against.
-    """
+    """Node table + buffer arena + assign/accumulate bookkeeping."""
 
     def __init__(self, recorder: CaptureRecorder, need_grads: bool) -> None:
         self._recorder = recorder
@@ -198,22 +191,17 @@ class _PlanBuilder:
             self._const_keep.append(array)
         return nid
 
-    def tid(self, value) -> int:
-        """Node id for one tensorish op argument."""
-        if isinstance(value, Tensor):
-            nid = self._by_tensor.get(id(value))
-            if nid is not None:
-                return nid
-            host = self._recorder.host_index(value.data)
-            nid = self._host_node(host, value.data) if host is not None else self._const_node(value.data)
-            self._by_tensor[id(value)] = nid
-            return nid
-        if isinstance(value, np.ndarray):
-            host = self._recorder.host_index(value)
+    def tid(self, tensor: Tensor) -> int:
+        """Node id for one operand tensor."""
+        nid = self._by_tensor.get(id(tensor))
+        if nid is None:
+            host = self._recorder.host_index(tensor.data)
             if host is not None:
-                return self._host_node(host, value)
-            return self._const_node(value)
-        return self._const_node(np.asarray(value, dtype=np.float64))
+                nid = self._host_node(host, tensor.data)
+            else:
+                nid = self._const_node(tensor.data)
+            self._by_tensor[id(tensor)] = nid
+        return nid
 
     def add_op_out(self, out_tensor, ins: Tuple[int, ...]) -> int:
         requires = self._need_grads and any(self.nodes[i].requires for i in ins)
@@ -222,7 +210,7 @@ class _PlanBuilder:
         return nid
 
     # ------------------------------------------------------------------ #
-    # kernel-builder (ctx) API
+    # instruction-builder (ctx) API
     # ------------------------------------------------------------------ #
     def shape(self, nid: int) -> Tuple[int, ...]:
         return self.nodes[nid].shape
@@ -237,10 +225,11 @@ class _PlanBuilder:
         self.buffer_bytes += buf.nbytes
         return buf
 
-    def scratch(self, shape, dtype=np.float64) -> np.ndarray:
-        buf = np.empty(shape, dtype=dtype)
-        self.buffer_bytes += buf.nbytes
-        return buf
+    def scratches(self, tmp: tuple, shape, st) -> tuple:
+        """The scratch buffers a rule's ``tmp`` declaration asks for."""
+        bufs = tuple(np.empty(s, dtype=d) for s, d in scratch_shapes(tmp, shape, st))
+        self.buffer_bytes += sum(buf.nbytes for buf in bufs)
+        return bufs
 
     def accum_scratch(self, shape) -> np.ndarray:
         """Shared staging buffer for accumulate-mode contributions.
@@ -276,113 +265,163 @@ class _PlanBuilder:
 
         if first:
             def sink(value: np.ndarray) -> None:
-                if value.shape != shape:
-                    value = reduce_grad(value, shape)
-                np.copyto(buf, value)
+                np.copyto(buf, unbroadcast(value, shape))
         else:
             def sink(value: np.ndarray) -> None:
-                if value.shape != shape:
-                    value = reduce_grad(value, shape)
-                np.add(buf, value, out=buf)
+                unbroadcast(value, shape, out=buf)
 
         return sink
 
 
 # --------------------------------------------------------------------- #
-# per-op argument normalization: raw (args, kwargs) -> _LoweredOp
+# instruction builders: the plan-side interpreter of repro.tensor.ops.RULES
 # --------------------------------------------------------------------- #
-_BINARY = frozenset({"add", "sub", "mul", "div", "maximum", "minimum", "matmul", "dropout_mask"})
-_UNARY = frozenset({"neg", "exp", "log", "sqrt", "abs", "tanh", "sigmoid", "relu", "softplus"})
-_REDUCTIONS = frozenset({"sum", "mean", "max"})
+def _operands(ins: Tuple[int, ...]) -> Callable[[list], object]:
+    """``get(slots)`` -> an instruction's operand arrays, as one C-level call.
+
+    A single operand comes back as a one-element list slice; rule formulas
+    only index it, so that serves as well as a tuple.
+    """
+    if len(ins) == 1:
+        return itemgetter(slice(ins[0], ins[0] + 1))
+    return itemgetter(*ins)
 
 
-def _lower_record(builder: _PlanBuilder, rec: TraceRecord) -> _LoweredOp:
-    name, args, kwargs = rec.name, rec.args, rec.kwargs
-    if name == "where":
-        raise LoweringError("op 'where' has a Python-level condition the plan cannot replay")
-    out_data = rec.out.data
+def _forward_instruction(ctx: "_PlanBuilder", op: _LoweredOp) -> Callable[[], None]:
+    rule, st, s, o = op.rule, op.st, ctx.slots, op.out
+    forward, get = rule.forward, _operands(op.ins)
+    if rule.rebinds:
 
-    if name in _BINARY:
-        ins = (builder.tid(args[0]), builder.tid(args[1]))
-        static: dict = {}
-    elif name in _UNARY:
-        ins = (builder.tid(args[0]),)
-        static = {}
-    elif name == "power":
-        ins = (builder.tid(args[0]),)
-        static = {"exponent": float(_arg(args, kwargs, 1, "exponent"))}
-    elif name == "clip":
-        ins = (builder.tid(args[0]),)
-        static = {
-            "low": float(_arg(args, kwargs, 1, "low")),
-            "high": float(_arg(args, kwargs, 2, "high")),
-        }
-    elif name == "huber":
-        ins = (builder.tid(args[0]),)
-        static = {"delta": float(_arg(args, kwargs, 1, "delta", 1.0))}
-    elif name == "leaky_relu":
-        ins = (builder.tid(args[0]),)
-        static = {"negative_slope": float(_arg(args, kwargs, 1, "negative_slope", 0.01))}
-    elif name == "linear":
-        bias = _arg(args, kwargs, 2, "bias", None)
-        ins = (builder.tid(args[0]), builder.tid(args[1]))
-        if bias is not None:
-            ins = ins + (builder.tid(bias),)
-        static = {}
-    elif name == "transpose":
-        axes = _arg(args, kwargs, 1, "axes", None)
-        if axes is not None:
-            axes = tuple(int(ax) for ax in axes)
-        ins = (builder.tid(args[0]),)
-        static = {
-            "axes": axes,
-            "inverse": None if axes is None else tuple(int(ax) for ax in np.argsort(axes)),
-        }
-    elif name == "swapaxes":
-        ins = (builder.tid(args[0]),)
-        static = {
-            "axis1": int(_arg(args, kwargs, 1, "axis1")),
-            "axis2": int(_arg(args, kwargs, 2, "axis2")),
-        }
-    elif name == "reshape":
-        ins = (builder.tid(args[0]),)
-        static = {"shape": tuple(int(n) for n in out_data.shape)}
-    elif name == "getitem":
-        ins = (builder.tid(args[0]),)
-        static = {"index": _arg(args, kwargs, 1, "index")}
-    elif name == "gather":
-        a = builder.tid(args[0])
-        ndim = len(builder.shape(a))
-        axis = int(_arg(args, kwargs, 1, "axis"))
-        static = {
-            "axis": axis % ndim if ndim else 0,
-            "index": np.array(_arg(args, kwargs, 2, "index")),
-        }
-        ins = (a,)
-    elif name in ("concat", "stack"):
-        sequence = _arg(args, kwargs, 0, "tensors")
-        ins = tuple(builder.tid(t) for t in sequence)
-        axis = int(_arg(args, kwargs, 1, "axis", 0))
-        static = {"axis": axis % out_data.ndim}
-    elif name == "pad":
-        ins = (builder.tid(args[0]),)
-        pad_width = _arg(args, kwargs, 1, "pad_width")
-        static = {"pad_width": tuple((int(lo), int(hi)) for lo, hi in pad_width)}
-    elif name == "broadcast_to":
-        ins = (builder.tid(args[0]),)
-        static = {"shape": tuple(int(n) for n in out_data.shape)}
-    elif name in _REDUCTIONS:
-        axis = _arg(args, kwargs, 1, "axis", None)
-        if axis is not None:
-            axis = int(axis) if isinstance(axis, (int, np.integer)) else tuple(int(ax) for ax in axis)
-        ins = (builder.tid(args[0]),)
-        static = {"axis": axis, "keepdims": bool(_arg(args, kwargs, 2, "keepdims", False))}
-    elif name in ("softmax", "log_softmax"):
-        ins = (builder.tid(args[0]),)
-        static = {"axis": int(_arg(args, kwargs, 1, "axis", -1))}
-    else:
-        raise LoweringError(f"op {name!r} is outside the replayable set")
-    return _LoweredOp(name, ins, builder.add_op_out(rec.out, ins), static)
+        def rebind() -> None:
+            s[o] = forward(get(s), st, None, ())
+
+        return rebind
+    buf = ctx.out_buffer(o)
+    if rule.out_shape is not None:
+        buf.fill(0.0)  # pad rewrites only its interior; the border stays zero
+    ufunc = getattr(forward, "ufunc", None)
+    if ufunc is not None:  # the forward is one ufunc call: replay calls it directly
+        if len(op.ins) == 1:
+            (a,) = op.ins
+            return lambda: ufunc(s[a], out=buf)
+        a, b = op.ins
+        return lambda: ufunc(s[a], s[b], out=buf)
+    tmp = ctx.scratches(rule.tmp, ctx.shape(o), st)
+    return lambda: forward(get(s), st, buf, tmp)
+
+
+def _emit(ctx, nid, natural_shape, direct, generic, accum=None):
+    """One contribution to ``grads[nid]``.
+
+    ``direct(buf)`` returns an instruction computing the contribution
+    straight into ``buf``: the gradient buffer on the first contribution, a
+    shared staging scratch on later ones (followed by one ``add`` into the
+    gradient).  ``accum(buf)`` returns one folding it into ``buf`` in a
+    single pass.  ``generic()`` returns the raw contribution for the sink
+    path (copy or accumulate, reducing broadcast axes with
+    ``unbroadcast``) — the only path allowed when the contribution's
+    natural shape differs from the target's.
+    """
+    first = ctx.mark_contribution(nid)
+    if natural_shape == ctx.shape(nid):
+        if first and direct is not None:
+            return direct(ctx.grad_buffer(nid))
+        if not first and accum is not None:
+            return accum(ctx.grad_buffer(nid))
+        if not first and direct is not None:
+            buf = ctx.grad_buffer(nid)
+            staging = ctx.accum_scratch(natural_shape)
+            write = direct(staging)
+
+            def run():
+                write()
+                np.add(buf, staging, out=buf)
+
+            return run
+    sink = ctx.make_sink(nid, first)
+    return lambda: sink(generic())
+
+
+def _view_emit(ctx, nid, view):
+    """Contribution that is a fixed view of the output gradient buffer.
+
+    The gradient buffer is allocated once at build time, so the view is
+    taken once and replayed forever — copied or accumulated in a single
+    pass with no per-step allocation.
+    """
+    return _emit(
+        ctx, nid, view.shape,
+        lambda buf: lambda: np.copyto(buf, view),
+        lambda: view,
+        accum=lambda buf: lambda: np.add(buf, view, out=buf),
+    )
+
+
+def _scatter_emit(ctx, nid, scatter, g, st):
+    """Index-style contribution added into the operand's whole gradient."""
+    first = ctx.mark_contribution(nid)
+    buf = ctx.grad_buffer(nid)
+    if not first:
+        return lambda: scatter(buf, g, st)
+
+    def run():
+        buf.fill(0.0)
+        scatter(buf, g, st)
+
+    return run
+
+
+def _computed_emit(ctx, op, nid, adj, g, get):
+    """Contribution computed by ``adj.fn`` from the (viewed) gradient ``g``."""
+    fn, st, s, o = adj.fn, op.st, ctx.slots, op.out
+    tmp = ctx.scratches(adj.tmp, ctx.shape(o), st)
+    natural = direct = accum = None
+    if adj.into:
+        natural = _natural_shape(ctx, op, adj, g, tmp)
+
+        def direct(buf):
+            return lambda: fn(g, s[o], get(s), st, buf, tmp)
+
+    if adj.accum is not None:
+        fold = adj.accum
+
+        def accum(buf):
+            return lambda: fold(buf, g)
+
+    return _emit(ctx, nid, natural, direct, lambda: fn(g, s[o], get(s), st, None, tmp), accum)
+
+
+def _natural_shape(ctx, op, adj, g, tmp) -> Tuple[int, ...]:
+    """Shape of a computed contribution, found once by running it on ones."""
+    with np.errstate(all="ignore"):
+        probe = adj.fn(
+            np.ones(g.shape),
+            np.ones(ctx.shape(op.out)),
+            tuple(np.ones(ctx.shape(nid)) for nid in op.ins),
+            op.st,
+            None,
+            tmp,
+        )
+    return np.shape(probe)
+
+
+def _adjoint_instructions(ctx: "_PlanBuilder", op: _LoweredOp) -> List[Callable[[], None]]:
+    rule, st = op.rule, op.st
+    go = ctx.grad_buffer(op.out)
+    get = _operands(op.ins)
+    fns = []
+    for i, nid in enumerate(op.ins):
+        if not ctx.requires(nid):
+            continue
+        adj = rule.adjoint(st, i)
+        g = go if adj.view is None else adj.view(go, st, i)
+        if adj.scatter is not None:
+            fns.append(_scatter_emit(ctx, nid, adj.scatter, g, st))
+        elif adj.fn is None:
+            fns.append(_view_emit(ctx, nid, g))
+        else:
+            fns.append(_computed_emit(ctx, op, nid, adj, g, get))
+    return fns
 
 
 def _group(fns: List[Callable[[], None]]) -> Callable[[], None]:
@@ -403,11 +442,11 @@ def _assign_chains(kept: List[_LoweredOp], consumers: Dict[int, int]) -> List[Op
     next_id = 0
     i = 0
     while i < len(kept):
-        if kept[i].name in FUSABLE:
+        if kept[i].rule.fusable:
             j = i
             while (
                 j + 1 < len(kept)
-                and kept[j + 1].name in FUSABLE
+                and kept[j + 1].rule.fusable
                 and consumers.get(kept[j].out, 0) == 1
                 and kept[j].out in kept[j + 1].ins
             ):
@@ -431,7 +470,14 @@ def _lower(recorder: CaptureRecorder, output_tensor, need_grads: bool) -> Compil
     if need_grads and not any(builder.nodes[nid].requires for nid, _ in builder.param_binds):
         raise LoweringError("training trace has no parameter requiring grad")
 
-    ops = [_lower_record(builder, rec) for rec in recorder.records]
+    ops = []
+    for rec in recorder.records:
+        if not rec.rule.lowerable:
+            raise LoweringError(
+                f"op {rec.rule.name!r} has a Python-level condition the plan cannot replay"
+            )
+        ins = tuple(builder.tid(t) for t in rec.ins)
+        ops.append(_LoweredOp(rec.rule, ins, builder.add_op_out(rec.out, ins), rec.static))
     output = builder._by_tensor.get(id(output_tensor))
     if output is None:
         raise LoweringError("step output was not produced by a traced op")
@@ -452,15 +498,12 @@ def _lower(recorder: CaptureRecorder, output_tensor, need_grads: bool) -> Compil
     consumers[output] = consumers.get(output, 0) + 1
     chain_id = _assign_chains(kept, consumers)
 
-    # forward program: build every kernel, then group fused chains
+    # forward program: build every instruction, then group fused chains
     forward: List[Callable[[], None]] = []
     pending: List[Callable[[], None]] = []
     pending_chain: Optional[int] = None
     for op, cid in zip(kept, chain_id):
-        builder_fn = FORWARD.get(op.name)
-        if builder_fn is None:
-            raise LoweringError(f"op {op.name!r} has no replay kernel")
-        fn = builder_fn(builder, op)
+        fn = _forward_instruction(builder, op)
         if cid is not None and cid == pending_chain:
             pending.append(fn)
             continue
@@ -481,7 +524,7 @@ def _lower(recorder: CaptureRecorder, output_tensor, need_grads: bool) -> Compil
         for op, cid in zip(reversed(kept), reversed(chain_id)):
             if not builder.requires(op.out):
                 continue
-            fns = ADJOINT[op.name](builder, op)
+            fns = _adjoint_instructions(builder, op)
             if not fns:
                 continue
             if cid is not None and cid == pending_chain:

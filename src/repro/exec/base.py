@@ -89,10 +89,9 @@ def eval_forward(model, inputs: np.ndarray) -> np.ndarray:
     ops still reach the profiler (inference_mode bypasses op dispatch
     entirely and would record nothing).
     """
-    from ..tensor import Tensor, inference_mode, no_grad
-    from ..tensor.ops import op_trace_active
+    from ..tensor import Tensor, hooks, inference_mode, no_grad
 
-    guard = no_grad if op_trace_active() else inference_mode
+    guard = no_grad if hooks().trace is not None else inference_mode
     was_training = model.training
     model.eval()
     try:

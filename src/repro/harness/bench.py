@@ -3,8 +3,8 @@
 Runs a fixed suite — autodiff op microbenchmarks, one instrumented ST-WA
 smoke epoch, and the interpreted-vs-compiled executor comparison
 (:mod:`repro.compile`) — and writes ``BENCH_<date>.json`` with wall times,
-engine-side gradient-allocation counts (see
-:func:`repro.tensor.set_grad_alloc_hook`), and per-benchmark / per-op deltas
+engine-side gradient-allocation counts (the ``grad_alloc`` interceptor of
+:func:`repro.tensor.set_hooks`), and per-benchmark / per-op deltas
 against the most recent previous ``BENCH_*.json`` in the output directory.
 The same payload is mirrored to a root-level ``BENCH_latest.json`` — a
 moving pointer to the newest snapshot that tooling can read without
@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..tensor import Tensor, ops, set_grad_alloc_hook
+from ..tensor import Tensor, ops, set_hooks
 from ..tensor.gradcheck import check_fastpath_suite
 from .reporting import PathLike, TableResult, fmt
 from .runner import RunSettings
@@ -129,11 +129,11 @@ def _time_case(build: Callable[[], Tensor], repeats: int) -> Dict[str, float]:
         allocs["count"] += 1
         allocs["bytes"] += nbytes
 
-    restore = set_grad_alloc_hook(count)
+    restore = set_hooks(grad_alloc=count)
     try:
         build().backward()
     finally:
-        set_grad_alloc_hook(restore)
+        set_hooks(**restore)
     return {
         "seconds": best,
         "repeats": repeats,

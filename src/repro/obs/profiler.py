@@ -77,8 +77,8 @@ class Profiler:
     def record_grad_alloc(self, nbytes: int) -> None:
         """Count one engine-side gradient-buffer allocation.
 
-        Installed as the :func:`repro.tensor.set_grad_alloc_hook` while the
-        profiler is active; in-place accumulation exists precisely to keep
+        Installed as the ``grad_alloc`` interceptor (:func:`repro.tensor.set_hooks`)
+        while the profiler is active; in-place accumulation exists precisely to keep
         this number low, so the bench harness tracks it per run.
         """
         self.grad_allocs += 1
@@ -219,16 +219,14 @@ def profile(model=None) -> Iterator[Profiler]:
         attached to every submodule for the duration of the context so wall
         time is attributable to qualified module names.
     """
-    from ..tensor import ops as tensor_ops
-    from ..tensor import tensor as tensor_core
+    from ..tensor import set_hooks
     from .spans import module_spans
 
     global _active
     prof = Profiler()
     previous = _active
     _active = prof
-    restore_trace = tensor_ops.set_op_trace(prof.record_op)
-    restore_alloc = tensor_core.set_grad_alloc_hook(prof.record_grad_alloc)
+    restore = set_hooks(trace=prof.record_op, grad_alloc=prof.record_grad_alloc)
     start = time.perf_counter()
     try:
         if model is not None:
@@ -238,6 +236,5 @@ def profile(model=None) -> Iterator[Profiler]:
             yield prof
     finally:
         prof.wall_seconds = time.perf_counter() - start
-        tensor_ops.set_op_trace(restore_trace)
-        tensor_core.set_grad_alloc_hook(restore_alloc)
+        set_hooks(**restore)
         _active = previous

@@ -183,15 +183,13 @@ def _worker_main(conn, init_blob: bytes) -> None:
     spawn child only pays for what it uses.
     """
     from ..core.loss import STWALoss
-    from ..tensor import detect_anomaly, ops as tensor_ops, rng as rng_module
+    from ..tensor import detect_anomaly, rng as rng_module, set_hooks
     from ..tensor import tensor as tensor_core
     from ..training import checkpoint as checkpoint_module
 
     # a forked child inherits whatever observability hooks the parent had
     # installed at pool start-up; they would record into a dead copy
-    tensor_ops.set_op_trace(None)
-    tensor_ops.set_anomaly_check(None)
-    tensor_core.set_grad_alloc_hook(None)
+    set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
 
     init = pickle.loads(init_blob)
     model = init["model"]

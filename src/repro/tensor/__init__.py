@@ -4,7 +4,10 @@ Public surface:
 
 * :class:`Tensor`, :func:`as_tensor`, :func:`zeros`, :func:`ones`,
   :class:`no_grad` — core array-with-gradient type.
-* :mod:`repro.tensor.ops` — differentiable primitives.
+* :mod:`repro.tensor.ops` — differentiable primitives, one rule record
+  each, behind one dispatch point.
+* :class:`Hooks`, :func:`hooks`, :func:`set_hooks` — the one interceptor
+  state (op trace, anomaly screen, compile capture, grad allocations).
 * :mod:`repro.tensor.functional` — losses (Huber, Eq. 21), Gaussian KL,
   reparameterization, attention helpers.
 * :mod:`repro.tensor.gradcheck` — finite-difference validation used by the
@@ -29,14 +32,16 @@ from .functional import (
 )
 from .rng import reseed_module_generators, spawn_streams, worker_seed_sequence
 from .tensor import (
+    Hooks,
     Tensor,
     as_tensor,
+    hooks,
     inference_mode,
     is_grad_enabled,
     is_inference_mode_enabled,
     no_grad,
     ones,
-    set_grad_alloc_hook,
+    set_hooks,
     unbroadcast,
     zeros,
 )
@@ -51,7 +56,9 @@ __all__ = [
     "is_grad_enabled",
     "is_inference_mode_enabled",
     "unbroadcast",
-    "set_grad_alloc_hook",
+    "Hooks",
+    "hooks",
+    "set_hooks",
     "ops",
     "functional",
     "gradcheck",

@@ -10,9 +10,10 @@ stack captured when the offending op ran *forward* (its creation trace), so
 a NaN discovered deep in backprop points at the forward line that built the
 node.
 
-The checks ride the same per-op wrapper the :mod:`repro.obs` profiler uses
-(``repro.tensor.ops._traced``); with no context active the cost is one
-global ``None`` check per op call.  With a context active every op pays an
+The checks ride the single op dispatch point the :mod:`repro.obs` profiler
+uses (``repro.tensor.ops._dispatch``, reading the ``anomaly`` interceptor of
+:class:`repro.tensor.Hooks`); with no context active they cost nothing
+beyond that one read per op call.  With a context active every op pays an
 ``np.isfinite().all()`` scan plus (by default) a stack capture, so this is
 a debugging/fault-tolerance tool, not a production default — the
 :class:`repro.training.Trainer` enables it via
@@ -27,6 +28,8 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 import numpy as np
+
+from .tensor import hooks, set_hooks
 
 
 class NumericalAnomalyError(FloatingPointError):
@@ -81,8 +84,9 @@ class AnomalyDetector:
         self.stack_limit = stack_limit
 
     def _capture(self) -> str:
-        # drop the two innermost frames (this method and the ops wrapper)
-        frames = traceback.extract_stack(limit=self.stack_limit + 2)[:-2]
+        # drop the innermost frames (this method, after_forward and the three
+        # dispatch frames of repro.tensor.ops) so the trace ends at the caller
+        frames = traceback.extract_stack(limit=self.stack_limit + 5)[:-5]
         return "".join(traceback.format_list(frames))
 
     def after_forward(self, name: str, data: np.ndarray) -> Optional[str]:
@@ -102,9 +106,7 @@ class AnomalyDetector:
 
 def is_anomaly_detection_enabled() -> bool:
     """True while a :func:`detect_anomaly` context is active."""
-    from . import ops
-
-    return ops.anomaly_check_active() is not None
+    return hooks().anomaly is not None
 
 
 @contextmanager
@@ -118,15 +120,13 @@ def detect_anomaly(
     Nested contexts stack; the innermost detector wins while it is active
     (mirroring :func:`repro.obs.profile`).
     """
-    from . import ops
-
     detector = AnomalyDetector(
         check_forward=check_forward,
         check_backward=check_backward,
         record_traces=record_traces,
     )
-    previous = ops.set_anomaly_check(detector)
+    previous = set_hooks(anomaly=detector)
     try:
         yield detector
     finally:
-        ops.set_anomaly_check(previous)
+        set_hooks(**previous)

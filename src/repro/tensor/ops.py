@@ -1,35 +1,41 @@
 """Differentiable primitive operations for :class:`repro.tensor.Tensor`.
 
-Every function takes tensors (or array-likes) and returns a new tensor whose
-backward closure routes gradients to the inputs.  Broadcasting follows NumPy
-semantics; the adjoint of broadcasting (summation back to the operand shape)
-is handled centrally by ``Tensor._accumulate`` via ``unbroadcast``.
+Every primitive is one :class:`Rule` in :data:`RULES`, and every formula is
+written once, there:
 
-Backward closures follow two hot-path conventions (see
-``Tensor._accumulate``):
+* how a call binds its tensor operands and normalised static arguments
+  (the body of the public function, which :func:`_op` turns into the op);
+* ``forward``, writing into an optional ``out=`` buffer;
+* one :class:`Adjoint` per operand, which computes its gradient
+  contribution into a buffer the caller provides, returns a fresh array,
+  returns a view of the upstream gradient, or scatters into the operand's
+  gradient buffer;
+* a FLOP estimate, fusability and view semantics.
 
-* a closure that allocates a fresh gradient array (``grad * b.data``,
-  ``grad @ W.T``, …) passes ``own=True`` so the engine adopts the array as
-  the gradient buffer instead of copying it;
-* a closure that merely forwards the upstream gradient or a view of it
-  (``add``, ``reshape``, ``transpose``, slices) passes ``own=False`` —
-  the engine copies on first accumulation and ``+=``-s afterwards.
+Two interpreters consume the table.  The tape here runs a rule's forward in
+:func:`_dispatch` and, on backward, loops over its adjoints into
+``Tensor._accumulate``: computed contributions pass ``own=True`` (the
+engine adopts the fresh array), views of the upstream gradient pass
+``own=False`` (copied on first accumulation), scatters write straight into
+``Tensor._grad_buffer``.  Plan lowering (:mod:`repro.compile.plan`) builds
+replay instructions from the same forwards and adjoints, specialised once
+at build time over preallocated buffers.  Adding an op is one record.
 
-Scatter-style backward (``getitem``, ``gather``) writes straight into the
-parent's preallocated buffer (``Tensor._grad_buffer``) with slice-``+=`` or
-``np.add.at``, never materializing a full-size temporary.
-
-Every primitive here is wrapped with an optional trace hook (installed via
-:func:`set_op_trace`, normally by ``repro.obs.profile``) that reports per-op
-wall time, FLOP estimates and output bytes for forward and backward passes.
-With no hook installed the wrapper is a single global ``None`` check.
+:func:`_dispatch` is also the single interception point.  It reads the
+:class:`repro.tensor.tensor.Hooks` state once per op: the op-trace hook
+(``repro.obs.profile``: per-op wall time, FLOPs and output bytes for
+forward and backward), the anomaly screen (:func:`repro.tensor.detect_anomaly`)
+and the compile capture (:mod:`repro.compile`).  With nothing installed
+the cost is one attribute test, and under ``inference_mode`` an op is just
+its forward.
 """
 
 from __future__ import annotations
 
 import builtins
+import functools
 import time as _time
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,291 +44,633 @@ from .tensor import ArrayLike, Tensor, as_tensor
 
 Axis = Union[None, int, Tuple[int, ...]]
 
+_F, _B = np.float64, np.bool_
+
+
+# --------------------------------------------------------------------- #
+# rule records
+# --------------------------------------------------------------------- #
+class Adjoint:
+    """How one operand's gradient follows from the output gradient ``g``.
+
+    ``view(g, st, i)`` turns ``g`` into a view (``g`` itself when None).
+    It depends only on ``g``'s buffer and the static arguments, so a plan
+    takes it once at build time over its fixed gradient buffer.
+
+    ``fn(g, y, xs, st, out, tmp)`` computes the contribution from that
+    view, the forward output ``y`` and the operand arrays ``xs``.  When
+    ``fn`` is None the view itself is the contribution (view semantics:
+    the tape accumulates it with ``own=False``).  With ``into`` set, ``fn``
+    writes into ``out`` when one is given, so a plan computes straight into
+    gradient buffers; otherwise it always returns a fresh array.
+
+    ``accum(buf, g)`` folds the contribution into ``buf`` in one pass.
+    ``scatter(buf, g, st)`` adds it into the operand's full-size gradient
+    buffer in place (index-style ops).  ``tmp`` declares the scratch
+    buffers ``fn`` takes (see :func:`scratch_shapes`).
+    """
+
+    __slots__ = ("fn", "into", "view", "accum", "scatter", "tmp", "blank")
+
+    def __init__(self, fn=None, *, into=False, view=None, accum=None, scatter=None, tmp=()):
+        self.fn = fn
+        self.into = into
+        self.view = view
+        self.accum = accum
+        self.scatter = scatter
+        self.tmp = tmp
+        self.blank = (None,) * len(tmp)
+
+
+class Rule:
+    """One primitive: forward, adjoints and the facts both interpreters need.
+
+    ``forward(xs, st, out, tmp)`` computes from the operand arrays ``xs``
+    and static arguments ``st``, writing into ``out`` when given.
+    ``rebinds`` marks forwards that return a view (or a new array) instead,
+    which a plan rebinds every replay.  ``out_shape(st)``, when set, marks
+    a forward that needs ``out`` provided, zero-filled (pad writes only its
+    interior, broadcast_to copies into it); the tape then allocates it and
+    a plan zero-fills its buffer once.  ``tmp`` declares the forward's scratch buffers (see
+    :func:`scratch_shapes`).  ``pick(st, i)``, when set, chooses operand ``i``'s
+    adjoint from the static arguments (and covers variadic operands);
+    otherwise ``adjoints[i]`` applies.  ``flops`` is a per-output-
+    element estimate or ``fn(xs, y)``.  ``fusable`` ops join single-
+    consumer elementwise chains in plans; ``lowerable=False`` ops keep a
+    trace on the interpreted path.
+    """
+
+    __slots__ = (
+        "name", "forward", "adjoints", "pick", "flops", "fusable", "rebinds", "out_shape",
+        "lowerable", "tmp", "blank",
+    )
+
+    def __init__(self, name, forward, adjoints, *, pick=None, flops=1.0, fusable=False,
+                 rebinds=False, out_shape=None, lowerable=True, tmp=()):
+        self.name = name
+        self.forward = forward
+        self.adjoints = adjoints
+        self.pick = pick
+        self.flops = flops
+        self.fusable = fusable
+        self.rebinds = rebinds
+        self.out_shape = out_shape
+        self.lowerable = lowerable
+        self.tmp = tmp
+        self.blank = (None,) * len(tmp)
+
+    def adjoint(self, st, i: int) -> Adjoint:
+        return self.adjoints[i] if self.pick is None else self.pick(st, i)
+
+    def forward_flops(self, xs: tuple, y: np.ndarray) -> float:
+        if callable(self.flops):
+            return float(self.flops(xs, y))
+        return float(y.size) * self.flops
+
+
+#: every primitive by name, in definition order
+RULES: Dict[str, Rule] = {}
+
+
+def _op(forward, adjoints=(), **facts):
+    """Register the decorated binder as a rule; return the public op.
+
+    The binder has the op's public signature and docstring; its body only
+    maps the call to ``(operand tensors, static arguments)``.
+    """
+
+    def register(bind):
+        rule = Rule(bind.__name__, forward, adjoints, **facts)
+        RULES[rule.name] = rule
+
+        @functools.wraps(bind)
+        def op(*args, **kwargs):
+            operands, st = bind(*args, **kwargs)
+            return _dispatch(rule, operands, st)
+
+        op.rule = rule
+        return op
+
+    return register
+
+
+def scratch_shapes(tmp: tuple, shape: Tuple[int, ...], st) -> list:
+    """``(shape, dtype)`` of each scratch buffer a ``tmp`` declaration asks for.
+
+    An entry is a dtype (a buffer shaped like the op's output ``shape``)
+    or ``(shape_fn, dtype)`` with ``shape_fn(shape, st)``.  Formulas write
+    scratch through ``out=`` and keep the result, so the tape passes
+    ``None`` for every buffer (NumPy allocates) while a plan passes buffers
+    it allocated once.
+    """
+    return [
+        (entry[0](shape, st), entry[1]) if isinstance(entry, tuple) else (shape, entry)
+        for entry in tmp
+    ]
+
+
+# --------------------------------------------------------------------- #
+# the dispatch point: tape interpreter + interceptors
+# --------------------------------------------------------------------- #
+def _dispatch(rule: Rule, operands: tuple, st) -> Tensor:
+    # the operand arrays; unrolled for the common arities (this is per op call)
+    if len(operands) == 1:
+        xs = (operands[0].data,)
+    elif len(operands) == 2:
+        xs = (operands[0].data, operands[1].data)
+    else:
+        xs = tuple([t.data for t in operands])
+    out = None if rule.out_shape is None else np.zeros(rule.out_shape(st))
+    if tensor_module._state.inference_mode:
+        return Tensor(rule.forward(xs, st, out, rule.blank))
+    hooks = tensor_module._hooks
+    if hooks.per_op:
+        return _intercepted(rule, operands, st, xs, out, hooks)
+    return _node(rule, operands, st, xs, rule.forward(xs, st, out, rule.blank))
+
+
+def _node(rule: Rule, operands: tuple, st, xs: tuple, y) -> Tensor:
+    """Wrap a forward result; record it on the tape when any operand needs grad."""
+    out = Tensor(y)
+    if not tensor_module._state.grad_enabled:
+        return out
+    parents = tuple([t for t in operands if t.requires_grad])
+    if parents:
+        out.requires_grad = True
+        out._parents = parents
+        out._backward_fn = functools.partial(_backward, rule, operands, st, xs, out.data)
+    return out
+
+
+def _backward(rule: Rule, operands: tuple, st, xs: tuple, y: np.ndarray, g: np.ndarray) -> None:
+    adjoints, pick = rule.adjoints, rule.pick
+    for i, operand in enumerate(operands):
+        if not operand.requires_grad:
+            continue
+        adj = adjoints[i] if pick is None else pick(st, i)
+        gv = g if adj.view is None else adj.view(g, st, i)
+        if adj.scatter is not None:
+            buf = operand._grad_buffer()
+            if gv.any():  # scattering zeros is a no-op (the buffer exists now)
+                adj.scatter(buf, gv, st)
+        elif adj.fn is None:
+            operand._accumulate(gv)
+        else:
+            operand._accumulate(adj.fn(gv, y, xs, st, None, adj.blank), own=True)
+
+
+def _intercepted(rule: Rule, operands: tuple, st, xs: tuple, out, hooks) -> Tensor:
+    """The op path while a trace hook, anomaly screen or capture is installed."""
+    trace, anomaly, capture = hooks.trace, hooks.anomaly, hooks.capture
+    start = _time.perf_counter()
+    out = _node(rule, operands, st, xs, rule.forward(xs, st, out, rule.blank))
+    if trace is not None or anomaly is not None:
+        name = rule.name
+        flops, nbytes = 0.0, 0
+        if trace is not None:
+            elapsed = _time.perf_counter() - start
+            nbytes = int(out.data.nbytes)
+            flops = rule.forward_flops(xs, out.data)
+            trace(name, "forward", elapsed, flops, nbytes)
+        # may raise NumericalAnomalyError; returns the creation trace that a
+        # later backward anomaly of this node will report
+        creation = anomaly.after_forward(name, out.data) if anomaly is not None else None
+        if out._backward_fn is not None:
+            # backward FLOPs are charged at the conventional 2x forward; the
+            # gradient has the output's shape, hence the same bytes
+            out._backward_fn = _observed(name, out._backward_fn, 2.0 * flops, nbytes, creation)
+    if capture is not None:
+        capture.record_op(rule, operands, st, out)
+    return out
+
+
+def _observed(name: str, inner, flops: float, nbytes: int, creation: Optional[str]):
+    def backward(grad: np.ndarray) -> None:
+        hooks = tensor_module._hooks
+        if hooks.anomaly is not None:
+            hooks.anomaly.check_grad(name, grad, creation)
+        if hooks.trace is None:
+            inner(grad)
+            return
+        start = _time.perf_counter()
+        inner(grad)
+        hooks.trace(name, "backward", _time.perf_counter() - start, flops, nbytes)
+
+    return backward
+
+
+def notify_host_input(value: np.ndarray, regen=None) -> np.ndarray:
+    """Declare ``value`` a per-step host-generated input (RNG draw, mask).
+
+    Modules that feed freshly generated NumPy arrays into traced ops each
+    step (latent noise, dropout masks) call this right after drawing.  With
+    no capture active it is a no-op returning ``value``.  Under capture the
+    recorder registers the array so the plan treats it as a per-step input
+    rather than a frozen constant; ``regen``, when given, is a closure that
+    re-draws the value from the same generator so replay reproduces the
+    serial RNG stream bit-exactly.
+    """
+    capture = tensor_module._hooks.capture
+    if capture is not None:
+        capture.record_host_input(value, regen)
+    return value
+
+
+def notify_compile_unsupported(reason: str) -> None:
+    """Declare that the current step has Python-level state the compiler
+    cannot replay (running-stat updates, data-dependent masks).
+
+    No-op unless a capture is active; under capture the recorder marks the
+    trace dead so the executor permanently falls back to the interpreted
+    path for this signature.
+    """
+    capture = tensor_module._hooks.capture
+    if capture is not None:
+        capture.mark_unsupported(reason)
+
+
+# --------------------------------------------------------------------- #
+# shared forwards and adjoints
+# --------------------------------------------------------------------- #
+def _unary(ufunc):
+    forward = lambda xs, st, out, tmp: ufunc(xs[0], out=out)  # noqa: E731
+    forward.ufunc = ufunc  # lets a plan call the ufunc itself
+    return forward
+
+
+def _binary(ufunc):
+    forward = lambda xs, st, out, tmp: ufunc(xs[0], xs[1], out=out)  # noqa: E731
+    forward.ufunc = ufunc
+    return forward
+
+
+#: the upstream gradient itself (broadcast operands are reduced by the caller)
+_GRAD = Adjoint()
+_NEGATED = Adjoint(
+    lambda g, y, xs, st, out, tmp: np.negative(g, out=out),
+    into=True,
+    accum=lambda buf, g: np.subtract(buf, g, out=buf),
+)
+
+
+def _times(j: int) -> Adjoint:
+    """``g * xs[j]`` — the product rule's adjoint for the other factor."""
+    return Adjoint(lambda g, y, xs, st, out, tmp: np.multiply(g, xs[j], out=out), into=True)
+
+
+def _selected(compare) -> Tuple[Adjoint, Adjoint]:
+    """Extremum adjoints: ties route the gradient to the first operand."""
+    return (
+        Adjoint(lambda g, y, xs, st, out, tmp: g * compare(xs[0], xs[1])),
+        Adjoint(lambda g, y, xs, st, out, tmp: g * ~compare(xs[0], xs[1])),
+    )
+
+
+def _stable_sigmoid(xs, st, out, tmp):
+    """``1 / (1 + exp(-x))`` without overflow: branch on the sign of ``x``."""
+    x, (t1, t2, mb) = xs[0], tmp
+    t1 = np.abs(x, out=t1)
+    np.negative(t1, out=t1)
+    np.exp(t1, out=t1)  # e = exp(-|x|)
+    t2 = np.add(t1, 1.0, out=t2)  # 1 + e
+    out = np.divide(t1, t2, out=out)  # e / (1 + e)   (x < 0 branch)
+    np.divide(1.0, t2, out=t2)  # 1 / (1 + e)   (x >= 0 branch)
+    mb = np.greater_equal(x, 0.0, out=mb)
+    np.copyto(out, t2, where=mb)
+    return out
+
+
+def _expand_reduced(grad: np.ndarray, shape: Tuple[int, ...], axis: Axis, keepdims: bool) -> np.ndarray:
+    """Broadcast view of a reduction's output gradient over its input shape."""
+    if axis is None:
+        return np.broadcast_to(grad, shape)
+    axes = (axis,) if isinstance(axis, (int, np.integer)) else tuple(axis)
+    axes = tuple(ax % len(shape) for ax in axes)
+    if not keepdims:
+        for ax in sorted(axes):
+            grad = np.expand_dims(grad, ax)
+    return np.broadcast_to(grad, shape)
+
+
+def _reduced_view(g, st, i):
+    axis, keepdims, shape = st
+    return _expand_reduced(g, shape, axis, keepdims)
+
+
+def _flat(g, st, i):
+    return g.reshape(-1, g.shape[-1])
+
+
+#: ``g @ W^T`` — the input adjoint of a product with a matrix operand
+_GEMM_A = Adjoint(
+    lambda g, y, xs, st, out, tmp: np.matmul(g, xs[1].swapaxes(-1, -2), out=out), into=True
+)
+#: shared-weight adjoint: one ``(M, k)^T @ (M, m)`` GEMM over the collapsed
+#: batch, never a batched product followed by a broadcast reduction
+_FLAT_GEMM = Adjoint(
+    lambda g, y, xs, st, out, tmp: np.matmul(xs[0].reshape(-1, xs[0].shape[-1]).T, g, out=out),
+    into=True,
+    view=_flat,
+)
+
+
+def _gemm_flops(xs, y):
+    return 2.0 * float(y.size) * float(xs[0].shape[-1])
+
+
+def _input_flops(xs, y):
+    return float(xs[0].size)
+
 
 # --------------------------------------------------------------------- #
 # elementwise arithmetic
 # --------------------------------------------------------------------- #
+@_op(_binary(np.add), (_GRAD, _GRAD), fusable=True)
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise ``a + b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad)
-        if b.requires_grad:
-            b._accumulate(grad)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (as_tensor(a), as_tensor(b)), None
 
 
+@_op(_binary(np.subtract), (_GRAD, _NEGATED), fusable=True)
 def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise ``a - b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad)
-        if b.requires_grad:
-            b._accumulate(np.negative(grad), own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (as_tensor(a), as_tensor(b)), None
 
 
+@_op(_binary(np.multiply), (_times(1), _times(0)), fusable=True)
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise ``a * b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * b.data, own=True)
-        if b.requires_grad:
-            b._accumulate(grad * a.data, own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (as_tensor(a), as_tensor(b)), None
 
 
+@_op(
+    _binary(np.divide),
+    (
+        Adjoint(lambda g, y, xs, st, out, tmp: np.divide(g, xs[1], out=out), into=True),
+        Adjoint(lambda g, y, xs, st, out, tmp: -g * xs[0] / (xs[1] * xs[1])),
+    ),
+    fusable=True,
+)
 def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise ``a / b`` with broadcasting."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad / b.data, own=True)
-        if b.requires_grad:
-            b._accumulate(-grad * a.data / (b.data * b.data), own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (as_tensor(a), as_tensor(b)), None
 
 
+@_op(_unary(np.negative), (_NEGATED,), fusable=True)
 def neg(a: ArrayLike) -> Tensor:
     """Elementwise negation."""
-    a = as_tensor(a)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.negative(grad), own=True)
-
-    return Tensor._make(-a.data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+@_op(
+    lambda xs, e, out, tmp: np.power(xs[0], e, out=out),
+    (Adjoint(lambda g, y, xs, e, out, tmp: g * e * xs[0] ** (e - 1.0)),),
+    flops=2.0,
+    fusable=True,
+)
 def power(a: ArrayLike, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a scalar exponent."""
-    a = as_tensor(a)
-    exponent = float(exponent)
-    out_data = a.data**exponent
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * exponent * a.data ** (exponent - 1.0), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), float(exponent)
 
 
+@_op(
+    _unary(np.exp),
+    (Adjoint(lambda g, y, xs, st, out, tmp: np.multiply(g, y, out=out), into=True),),
+    flops=4.0,
+    fusable=True,
+)
 def exp(a: ArrayLike) -> Tensor:
     """Elementwise exponential."""
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * out_data, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+@_op(
+    _unary(np.log),
+    (Adjoint(lambda g, y, xs, st, out, tmp: np.divide(g, xs[0], out=out), into=True),),
+    flops=4.0,
+    fusable=True,
+)
 def log(a: ArrayLike) -> Tensor:
     """Elementwise natural logarithm."""
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad / a.data, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+@_op(
+    _unary(np.sqrt),
+    (Adjoint(lambda g, y, xs, st, out, tmp: g * 0.5 / y),),
+    flops=2.0,
+    fusable=True,
+)
 def sqrt(a: ArrayLike) -> Tensor:
     """Elementwise square root."""
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * 0.5 / out_data, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+@_op(_unary(np.abs), (Adjoint(lambda g, y, xs, st, out, tmp: g * np.sign(xs[0])),), fusable=True)
 def abs(a: ArrayLike) -> Tensor:  # noqa: A001 - mirrors numpy naming
     """Elementwise absolute value (subgradient 0 at 0)."""
-    a = as_tensor(a)
-    out_data = np.abs(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * np.sign(a.data), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+@_op(_binary(np.maximum), _selected(np.greater_equal), fusable=True)
 def maximum(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise maximum; ties route the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.maximum(a.data, b.data)
-    a_wins = a.data >= b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * a_wins, own=True)
-        if b.requires_grad:
-            b._accumulate(grad * ~a_wins, own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (as_tensor(a), as_tensor(b)), None
 
 
+@_op(_binary(np.minimum), _selected(np.less_equal), fusable=True)
 def minimum(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise minimum; ties route the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.minimum(a.data, b.data)
-    a_wins = a.data <= b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * a_wins, own=True)
-        if b.requires_grad:
-            b._accumulate(grad * ~a_wins, own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (as_tensor(a), as_tensor(b)), None
 
 
+@_op(
+    lambda xs, st, out, tmp: np.clip(xs[0], st[0], st[1], out=out),
+    (Adjoint(lambda g, y, xs, st, out, tmp: g * ((xs[0] >= st[0]) & (xs[0] <= st[1]))),),
+    flops=2.0,
+    fusable=True,
+)
 def clip(a: ArrayLike, low: float, high: float) -> Tensor:
     """Clamp values to ``[low, high]``; gradient is 1 inside, 0 outside."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, low, high)
-    inside = (a.data >= low) & (a.data <= high)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * inside, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), (float(low), float(high))
 
 
+@_op(
+    lambda xs, cond, out, tmp: np.where(cond, xs[0], xs[1]),
+    (
+        Adjoint(lambda g, y, xs, cond, out, tmp: g * cond),
+        Adjoint(lambda g, y, xs, cond, out, tmp: g * ~cond),
+    ),
+    lowerable=False,
+)
 def where(condition: np.ndarray, a: ArrayLike, b: ArrayLike) -> Tensor:
-    """Select from ``a`` where ``condition`` else ``b`` (condition is data)."""
-    a, b = as_tensor(a), as_tensor(b)
-    cond = np.asarray(condition, dtype=bool)
-    out_data = np.where(cond, a.data, b.data)
+    """Select from ``a`` where ``condition`` else ``b`` (condition is data).
 
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * cond, own=True)
-        if b.requires_grad:
-            b._accumulate(grad * ~cond, own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    The condition is a Python-level array no plan can see through (it would
+    freeze one batch's mask), so a trace containing ``where`` stays on the
+    interpreted path.
+    """
+    return (as_tensor(a), as_tensor(b)), np.asarray(condition, dtype=bool)
 
 
+def _huber_forward(xs, delta, out, tmp):
+    x, (t1, t2, mb) = xs[0], tmp
+    t1 = np.abs(x, out=t1)
+    mb = np.less_equal(t1, delta, out=mb)
+    # linear branch: delta * (|x| - 0.5 * delta)
+    np.subtract(t1, 0.5 * delta, out=t1)
+    out = np.multiply(t1, delta, out=out)
+    # quadratic branch: (0.5 * x) * x
+    t2 = np.multiply(x, 0.5, out=t2)
+    np.multiply(t2, x, out=t2)
+    np.copyto(out, t2, where=mb)
+    return out
+
+
+@_op(
+    _huber_forward,
+    (
+        Adjoint(
+            lambda g, y, xs, delta, out, tmp: np.where(
+                np.abs(xs[0]) <= delta, g * xs[0], (g * delta) * np.sign(xs[0])
+            )
+        ),
+    ),
+    flops=4.0,
+    fusable=True,
+    tmp=(_F, _F, _B),
+)
 def huber(a: ArrayLike, delta: float = 1.0) -> Tensor:
     """Elementwise Huber penalty of a residual: quadratic inside ``delta``.
 
     ``0.5 * a**2`` where ``|a| <= delta``, ``delta * (|a| - 0.5 * delta)``
     outside.  The region mask is internal to the op (recomputed from the
     input in backward), which keeps the loss a pure function of its tensor
-    arguments — unlike the old ``where(abs(a).data <= delta, ...)``
-    composite whose Python-level condition array was opaque to both the
-    trace hook and the compile capture.
+    arguments — unlike a ``where(abs(a).data <= delta, ...)`` composite,
+    whose Python-level condition array is opaque to both the trace hook and
+    the compile capture.
     """
-    a = as_tensor(a)
-    delta = float(delta)
-    abs_data = np.abs(a.data)
-    inside = abs_data <= delta
-    out_data = np.where(inside, (0.5 * a.data) * a.data, delta * (abs_data - 0.5 * delta))
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.where(inside, grad * a.data, (grad * delta) * np.sign(a.data)), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), float(delta)
 
 
 # --------------------------------------------------------------------- #
 # activations
 # --------------------------------------------------------------------- #
+def _tanh_adjoint(g, y, xs, st, out, tmp):
+    t = np.multiply(y, y, out=out)
+    np.subtract(1.0, t, out=t)
+    return np.multiply(g, t, out=t)
+
+
+@_op(_unary(np.tanh), (Adjoint(_tanh_adjoint, into=True),), flops=6.0, fusable=True)
 def tanh(a: ArrayLike) -> Tensor:
     """Hyperbolic tangent."""
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * (1.0 - out_data * out_data), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+def _sigmoid_adjoint(g, y, xs, st, out, tmp):
+    t = np.subtract(1.0, y, out=tmp[0])
+    out = np.multiply(g, y, out=out)
+    return np.multiply(out, t, out=out)
+
+
+@_op(
+    _stable_sigmoid,
+    (Adjoint(_sigmoid_adjoint, into=True, tmp=(_F,)),),
+    flops=6.0,
+    fusable=True,
+    tmp=(_F, _F, _B),
+)
 def sigmoid(a: ArrayLike) -> Tensor:
     """Numerically stable logistic sigmoid."""
-    a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * out_data * (1.0 - out_data), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+@_op(
+    lambda xs, st, out, tmp: np.multiply(xs[0], np.greater(xs[0], 0, out=tmp[0]), out=out),
+    (
+        Adjoint(
+            lambda g, y, xs, st, out, tmp: np.multiply(g, np.greater(xs[0], 0, out=tmp[0]), out=out),
+            into=True,
+            tmp=(_B,),
+        ),
+    ),
+    fusable=True,
+    tmp=(_B,),
+)
 def relu(a: ArrayLike) -> Tensor:
     """Rectified linear unit."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    out_data = a.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * mask, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
+def _leaky_relu_forward(xs, slope, out, tmp):
+    x = xs[0]
+    out = np.multiply(x, slope, out=out)
+    np.copyto(out, x, where=np.greater(x, 0, out=tmp[0]))
+    return out
+
+
+@_op(
+    _leaky_relu_forward,
+    (Adjoint(lambda g, y, xs, slope, out, tmp: g * np.where(xs[0] > 0, 1.0, slope)),),
+    flops=2.0,
+    fusable=True,
+    tmp=(_B,),
+)
 def leaky_relu(a: ArrayLike, negative_slope: float = 0.01) -> Tensor:
     """Leaky rectified linear unit."""
-    a = as_tensor(a)
-    positive = a.data > 0
-    scale = np.where(positive, 1.0, negative_slope)
-    out_data = a.data * scale
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * scale, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), float(negative_slope)
 
 
+def _softplus_forward(xs, st, out, tmp):
+    x, (t1, t2) = xs[0], tmp
+    t1 = np.abs(x, out=t1)
+    np.negative(t1, out=t1)
+    np.exp(t1, out=t1)
+    np.log1p(t1, out=t1)
+    t2 = np.maximum(x, 0.0, out=t2)
+    return np.add(t2, t1, out=out)
+
+
+@_op(
+    _softplus_forward,
+    # d softplus / dx = sigmoid(x)
+    (Adjoint(lambda g, y, xs, st, out, tmp: g * _stable_sigmoid(xs, st, None, (None,) * 3)),),
+    flops=8.0,
+    fusable=True,
+    tmp=(_F, _F),
+)
 def softplus(a: ArrayLike) -> Tensor:
     """Numerically stable ``log(1 + exp(a))``."""
-    a = as_tensor(a)
-    x = a.data
-    out_data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * sig, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), None
 
 
 # --------------------------------------------------------------------- #
 # linear algebra
 # --------------------------------------------------------------------- #
+def _matmul_adjoint(ndims, i: int) -> Adjoint:
+    a_ndim, b_ndim = ndims
+    if i == 0:
+        return _OUTER_A if b_ndim == 1 else _GEMM_A
+    if a_ndim == 1:
+        return _OUTER_B
+    if b_ndim == 1:
+        return _VECTOR_B
+    return _FLAT_GEMM if b_ndim == 2 and a_ndim > 2 else _BATCHED_B
+
+
+#: (..., n) @ (n,) -> (...,): d/da = grad ⊗ b
+_OUTER_A = Adjoint(lambda g, y, xs, st, out, tmp: g[..., None] * xs[1])
+#: (n,) @ (..., n, k) -> (..., k): d/db = a ⊗ grad
+_OUTER_B = Adjoint(lambda g, y, xs, st, out, tmp: xs[0][:, None] * g[..., None, :])
+#: (..., m, n) @ (n,) -> (..., m): d/db = aᵀ grad per batch element
+_VECTOR_B = Adjoint(lambda g, y, xs, st, out, tmp: xs[0] * g[..., None])
+_BATCHED_B = Adjoint(
+    lambda g, y, xs, st, out, tmp: np.matmul(xs[0].swapaxes(-1, -2), g, out=out), into=True
+)
+
+
+@_op(_binary(np.matmul), pick=_matmul_adjoint, flops=_gemm_flops)
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Matrix product with NumPy batching semantics (``a @ b``).
 
@@ -333,33 +681,31 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     broadcast reduction.
     """
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            if b.data.ndim == 1:
-                # (..., n) @ (n,) -> (...,): d/da = grad ⊗ b
-                a._accumulate(grad[..., None] * b.data, own=True)
-            else:
-                a._accumulate(grad @ np.swapaxes(b.data, -1, -2), own=True)
-        if b.requires_grad:
-            if a.data.ndim == 1:
-                # (n,) @ (..., n, k) -> (..., k): d/db = a ⊗ grad
-                b._accumulate(a.data[:, None] * grad[..., None, :], own=True)
-            elif b.data.ndim == 1:
-                # (..., m, n) @ (n,) -> (..., m): d/db = sum over batch of aᵀ grad
-                b._accumulate(a.data * grad[..., None], own=True)
-            elif b.data.ndim == 2 and grad.ndim > 2:
-                # shared weight: one flat GEMM replaces batched matmul + sum
-                flat_a = a.data.reshape(-1, a.data.shape[-1])
-                flat_g = grad.reshape(-1, grad.shape[-1])
-                b._accumulate(flat_a.T @ flat_g, own=True)
-            else:
-                b._accumulate(np.swapaxes(a.data, -1, -2) @ grad, own=True)
-
-    return Tensor._make(out_data, (a, b), backward)
+    return (a, b), (a.data.ndim, b.data.ndim)
 
 
+def _linear_forward(xs, st, out, tmp):
+    out = np.matmul(xs[0], xs[1], out=out)
+    for bias in xs[2:]:
+        out += bias
+    return out
+
+
+_BIAS = Adjoint(
+    lambda g, y, xs, st, out, tmp: np.add.reduce(g, axis=0, out=out), into=True, view=_flat
+)
+
+
+def _linear_adjoint(vector_bias: bool, i: int) -> Adjoint:
+    if i == 2:
+        # a 1-D bias reduces the flat gradient in one pass (a size-1 one is
+        # then unbroadcast further); any other bias shape takes the generic
+        # unbroadcast of the upstream gradient
+        return _BIAS if vector_bias else _GRAD
+    return (_GEMM_A, _FLAT_GEMM)[i]
+
+
+@_op(_linear_forward, pick=_linear_adjoint, flops=_gemm_flops)
 def linear(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) -> Tensor:
     """Fused affine map ``x @ W + b`` for a shared 2-D weight.
 
@@ -378,72 +724,56 @@ def linear(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) ->
     x, weight = as_tensor(x), as_tensor(weight)
     if weight.data.ndim != 2:
         raise ValueError(f"linear expects a 2-D weight, got shape {weight.data.shape}")
-    bias_t = as_tensor(bias) if bias is not None else None
-    out_data = x.data @ weight.data
-    if bias_t is not None:
-        out_data += bias_t.data
-    in_features, out_features = weight.data.shape
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad @ weight.data.T, own=True)
-        if weight.requires_grad:
-            flat_x = x.data.reshape(-1, in_features)
-            flat_g = grad.reshape(-1, out_features)
-            weight._accumulate(flat_x.T @ flat_g, own=True)
-        if bias_t is not None and bias_t.requires_grad:
-            if bias_t.data.shape == (out_features,):
-                flat_g = grad.reshape(-1, out_features)
-                bias_t._accumulate(np.add.reduce(flat_g, axis=0), own=True)
-            else:
-                bias_t._accumulate(grad)  # unusual bias shape: generic unbroadcast
-
-    parents = (x, weight) if bias_t is None else (x, weight, bias_t)
-    return Tensor._make(out_data, parents, backward)
-
-
-def transpose(a: ArrayLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
-    """Permute axes (reverse order when ``axes`` is None)."""
-    a = as_tensor(a)
-    out_data = np.transpose(a.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = tuple(np.argsort(axes))
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.transpose(grad, inverse))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def swapaxes(a: ArrayLike, axis1: int, axis2: int) -> Tensor:
-    """Interchange two axes."""
-    a = as_tensor(a)
-    out_data = np.swapaxes(a.data, axis1, axis2)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(grad, axis1, axis2))
-
-    return Tensor._make(out_data, (a,), backward)
+    if bias is None:
+        return (x, weight), False
+    bias = as_tensor(bias)
+    return (x, weight, bias), bias.data.ndim == 1
 
 
 # --------------------------------------------------------------------- #
 # shape manipulation
 # --------------------------------------------------------------------- #
+def _untranspose(g, axes, i):
+    # the inverse permutation (reversal, axes=None, is its own inverse);
+    # argsort is right only because the binder normalised negative axes
+    return g.transpose(None if axes is None else np.argsort(axes))
+
+
+@_op(
+    lambda xs, axes, out, tmp: xs[0].transpose(axes),
+    (Adjoint(view=_untranspose),),
+    flops=0.0,
+    rebinds=True,
+)
+def transpose(a: ArrayLike, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
+    """Permute axes (reverse order when ``axes`` is None)."""
+    a = as_tensor(a)
+    if axes is not None:
+        axes = tuple(int(ax) % a.data.ndim for ax in axes)
+    return (a,), axes
+
+
+@_op(
+    lambda xs, st, out, tmp: xs[0].swapaxes(st[0], st[1]),
+    (Adjoint(view=lambda g, st, i: g.swapaxes(st[0], st[1])),),
+    flops=0.0,
+    rebinds=True,
+)
+def swapaxes(a: ArrayLike, axis1: int, axis2: int) -> Tensor:
+    """Interchange two axes."""
+    return (as_tensor(a),), (int(axis1), int(axis2))
+
+
+@_op(
+    lambda xs, st, out, tmp: xs[0].reshape(st[0]),
+    (Adjoint(view=lambda g, st, i: g.reshape(st[1])),),
+    flops=0.0,
+    rebinds=True,
+)
 def reshape(a: ArrayLike, shape: Tuple[int, ...]) -> Tensor:
     """Reshape without copying semantics (gradient reshapes back)."""
     a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-    original = a.data.shape
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad.reshape(original))
-
-    return Tensor._make(out_data, (a,), backward)
+    return (a,), (shape, a.data.shape)
 
 
 #: index components that keep NumPy in *basic* (view, duplicate-free) mode
@@ -472,172 +802,198 @@ def _is_identity_index(index) -> bool:
     return False
 
 
+def _scatter_add(buf, g, index):
+    buf[index] += g
+
+
+def _scatter_add_at(buf, g, index):
+    np.add.at(buf, index, g)
+
+
+_SCATTER_ADD = Adjoint(scatter=_scatter_add)
+_SCATTER_ADD_AT = Adjoint(scatter=_scatter_add_at)
+
+
+def _getitem_adjoint(index, i) -> Adjoint:
+    if _is_basic_index(index):
+        return _GRAD if _is_identity_index(index) else _SCATTER_ADD
+    # plain fancy ``+=`` is safe (and an order of magnitude faster than
+    # np.add.at) when no source element is selected twice
+    unique = (
+        isinstance(index, np.ndarray)
+        and index.dtype.kind in "iu"
+        and np.unique(index).size == index.size
+    )
+    return _SCATTER_ADD if unique else _SCATTER_ADD_AT
+
+
+@_op(lambda xs, index, out, tmp: xs[0][index], pick=_getitem_adjoint, flops=0.0, rebinds=True)
 def getitem(a: ArrayLike, index) -> Tensor:
     """Index ``a``; the gradient scatters back into the parent's buffer.
 
-    Basic indices (ints/slices/ellipsis — never duplicated) use direct
-    slice-``+=`` into the preallocated gradient buffer; genuinely advanced
-    (possibly duplicated) index arrays fall back to ``np.add.at``.  Identity
+    Basic indices (ints/slices/ellipsis — never duplicated) and fancy index
+    arrays without repeats use direct ``+=`` into the preallocated gradient
+    buffer; repeated index arrays fall back to ``np.add.at``.  Identity
     indices pass the gradient through, and an all-zero upstream gradient
     skips the scatter entirely.
     """
-    a = as_tensor(a)
-    out_data = a.data[index]
-    basic = _is_basic_index(index)
-    identity = basic and _is_identity_index(index)
-
-    def backward(grad: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        if identity:
-            a._accumulate(grad)
-            return
-        buf = a._grad_buffer()
-        if not grad.any():
-            return  # scattering zeros is a no-op (buffer already exists)
-        if basic:
-            buf[index] += grad
-        else:
-            np.add.at(buf, index, grad)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), index
 
 
+def _put_along(buf, g, st):
+    axis, idx = st
+    np.put_along_axis(buf, idx, np.take_along_axis(buf, idx, axis=axis) + g, axis=axis)
+
+
+_PUT_ALONG = Adjoint(scatter=_put_along)
+
+
+def _gather_adjoint(st, i) -> Adjoint:
+    axis, idx = st
+    # put_along_axis (read-add-write) is safe only when no lane of the
+    # index repeats a source position
+    if idx.shape[axis] <= 1:
+        return _PUT_ALONG
+    ordered = np.sort(idx, axis=axis)
+    keep = [slice(None)] * idx.ndim
+    drop = list(keep)
+    keep[axis], drop[axis] = slice(1, None), slice(None, -1)
+    if not (ordered[tuple(keep)] == ordered[tuple(drop)]).any():
+        return _PUT_ALONG
+    grids = list(np.ogrid[tuple(slice(n) for n in idx.shape)])
+    grids[axis] = idx
+    grids = tuple(grids)
+    return Adjoint(scatter=lambda buf, g, st: np.add.at(buf, grids, g))
+
+
+@_op(
+    lambda xs, st, out, tmp: np.take_along_axis(xs[0], st[1], axis=st[0]),
+    pick=_gather_adjoint,
+    flops=0.0,
+    rebinds=True,
+)
 def gather(a: ArrayLike, axis: int, index: np.ndarray) -> Tensor:
     """Select along ``axis`` with ``np.take_along_axis`` semantics.
 
     ``index`` must be an integer array with ``index.ndim == a.ndim`` (sizes
     match ``a`` except along ``axis``).  The backward scatter uses
     ``np.put_along_axis`` (read-add-write) whenever no lane of ``index``
-    repeats a source position — decided once at forward time — and falls
-    back to duplicate-safe ``np.add.at`` otherwise.  This is the op behind
-    per-node parameter selection in the decoders.
+    repeats a source position, and falls back to duplicate-safe
+    ``np.add.at`` otherwise.  This is the op behind per-node parameter
+    selection in the decoders.
     """
     a = as_tensor(a)
-    idx = np.asarray(index)
+    idx = np.array(index)  # frozen: a plan replays this very index
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError(f"gather index must be integer, got dtype {idx.dtype}")
     if idx.ndim != a.data.ndim:
         raise ValueError(f"gather index ndim {idx.ndim} != input ndim {a.data.ndim}")
-    axis = axis % a.data.ndim if a.data.ndim else 0
-    out_data = np.take_along_axis(a.data, idx, axis=axis)
-    if idx.shape[axis] <= 1:
-        lanes_unique = True
-    else:
-        ordered = np.sort(idx, axis=axis)
-        keep = [slice(None)] * idx.ndim
-        drop = list(keep)
-        keep[axis], drop[axis] = slice(1, None), slice(None, -1)
-        lanes_unique = not bool((ordered[tuple(keep)] == ordered[tuple(drop)]).any())
-
-    def backward(grad: np.ndarray) -> None:
-        if not a.requires_grad:
-            return
-        buf = a._grad_buffer()
-        if lanes_unique:
-            np.put_along_axis(buf, idx, np.take_along_axis(buf, idx, axis=axis) + grad, axis=axis)
-        else:
-            grids = list(np.ogrid[tuple(slice(n) for n in idx.shape)])
-            grids[axis] = idx
-            np.add.at(buf, tuple(grids), grad)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (a,), (int(axis) % a.data.ndim if a.data.ndim else 0, idx)
 
 
+def _piece(g, st, i):
+    axis, offsets = st
+    return g[(slice(None),) * axis + (slice(offsets[i], offsets[i + 1]),)]
+
+
+_PIECE = Adjoint(view=_piece)
+
+
+@_op(
+    lambda xs, st, out, tmp: np.concatenate(xs, axis=st[0], out=out),
+    pick=lambda st, i: _PIECE,
+    flops=0.0,
+)
 def concat(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis``."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    axis = axis % out_data.ndim
-    # precompute one slice tuple per input; the backward just applies them
-    lead = (slice(None),) * axis
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-    slices = [lead + (slice(int(start), int(stop)),) for start, stop in zip(offsets[:-1], offsets[1:])]
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, piece in zip(tensors, slices):
-            if tensor.requires_grad:
-                tensor._accumulate(grad[piece])
-
-    return Tensor._make(out_data, tensors, backward)
+    tensors = tuple(as_tensor(t) for t in tensors)
+    axis = int(axis) % tensors[0].data.ndim
+    offsets = [0]
+    for t in tensors:
+        offsets.append(offsets[-1] + t.data.shape[axis])
+    return tensors, (axis, offsets)
 
 
+_SLAB = Adjoint(view=lambda g, axis, i: np.moveaxis(g, axis, 0)[i])
+
+
+@_op(
+    lambda xs, axis, out, tmp: np.stack(xs, axis=axis),
+    pick=lambda axis, i: _SLAB,
+    flops=0.0,
+    rebinds=True,
+)
 def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slabs = np.moveaxis(grad, axis, 0)
-        for tensor, slab in zip(tensors, slabs):
-            if tensor.requires_grad:
-                tensor._accumulate(slab)
-
-    return Tensor._make(out_data, tensors, backward)
+    tensors = tuple(as_tensor(t) for t in tensors)
+    return tensors, int(axis) % (tensors[0].data.ndim + 1)
 
 
+def _pad_forward(xs, st, out, tmp):
+    out[st[0]] = xs[0]
+    return out
+
+
+@_op(
+    _pad_forward,
+    (Adjoint(view=lambda g, st, i: g[st[0]]),),
+    flops=0.0,
+    out_shape=lambda st: st[1],
+)
 def pad(a: ArrayLike, pad_width: Sequence[Tuple[int, int]]) -> Tensor:
     """Zero-pad; the gradient slices the padding away."""
     a = as_tensor(a)
-    out_data = np.pad(a.data, pad_width)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            index = tuple(slice(before, grad.shape[i] - after) for i, (before, after) in enumerate(pad_width))
-            a._accumulate(grad[index])
-
-    return Tensor._make(out_data, (a,), backward)
+    pad_width = tuple((int(lo), int(hi)) for lo, hi in pad_width)
+    shape = tuple(n + lo + hi for n, (lo, hi) in zip(a.data.shape, pad_width))
+    interior = tuple(slice(lo, n - hi) for n, (lo, hi) in zip(shape, pad_width))
+    return (a,), (interior, shape)
 
 
+def _broadcast_forward(xs, shape, out, tmp):
+    np.copyto(out, xs[0])
+    return out
+
+
+@_op(_broadcast_forward, (_GRAD,), flops=0.0, out_shape=lambda shape: shape)
 def broadcast_to(a: ArrayLike, shape: Tuple[int, ...]) -> Tensor:
     """Broadcast to ``shape``; the gradient sums back (via unbroadcast)."""
-    a = as_tensor(a)
-    out_data = np.broadcast_to(a.data, shape).copy()
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad)  # unbroadcast happens in _accumulate
-
-    return Tensor._make(out_data, (a,), backward)
+    return (as_tensor(a),), tuple(shape)
 
 
 # --------------------------------------------------------------------- #
 # reductions
 # --------------------------------------------------------------------- #
-def _expand_reduced(grad: np.ndarray, shape: Tuple[int, ...], axis: Axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(grad, shape)
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    axes = tuple(ax % len(shape) for ax in axes)
-    if not keepdims:
-        for ax in sorted(axes):
-            grad = np.expand_dims(grad, ax)
-    return np.broadcast_to(grad, shape)
+def _reduction(a: ArrayLike, axis: Axis, keepdims: bool):
+    a = as_tensor(a)
+    return (a,), (axis, bool(keepdims), a.data.shape)
 
 
+@_op(
+    lambda xs, st, out, tmp: np.sum(xs[0], axis=st[0], keepdims=st[1], out=out),
+    (Adjoint(view=_reduced_view),),
+    flops=_input_flops,
+)
 def sum(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     """Sum over ``axis``."""
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(grad, a.data.shape, axis, keepdims))
-
-    return Tensor._make(out_data, (a,), backward)
+    return _reduction(a, axis, keepdims)
 
 
+@_op(
+    lambda xs, st, out, tmp: np.mean(xs[0], axis=st[0], keepdims=st[1], out=out),
+    (
+        Adjoint(
+            lambda g, y, xs, st, out, tmp: np.divide(
+                g, xs[0].size / builtins.max(y.size, 1), out=out
+            ),
+            into=True,
+            view=_reduced_view,
+        ),
+    ),
+    flops=_input_flops,
+)
 def mean(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
     """Mean over ``axis``."""
-    a = as_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size / builtins.max(out_data.size, 1)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(grad, a.data.shape, axis, keepdims) / count, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return _reduction(a, axis, keepdims)
 
 
 def var(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
@@ -647,19 +1003,21 @@ def var(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:
     return mean(mul(centered, centered), axis=axis, keepdims=keepdims)
 
 
+def _max_adjoint(g, y, xs, st, out, tmp):
+    x, axis = xs[0], st[0]
+    mask = (x == x.max(axis=axis, keepdims=True)).astype(np.float64)
+    mask /= mask.sum(axis=axis, keepdims=True)
+    return g * mask
+
+
+@_op(
+    lambda xs, st, out, tmp: np.max(xs[0], axis=st[0], keepdims=st[1], out=out),
+    (Adjoint(_max_adjoint, view=_reduced_view),),
+    flops=_input_flops,
+)
 def max(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     """Maximum over ``axis``; gradient splits evenly across ties."""
-    a = as_tensor(a)
-    out_data = a.data.max(axis=axis, keepdims=keepdims)
-    expanded_max = a.data.max(axis=axis, keepdims=True)
-    mask = (a.data == expanded_max).astype(np.float64)
-    mask /= mask.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(grad, a.data.shape, axis, keepdims) * mask, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return _reduction(a, axis, keepdims)
 
 
 def min(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
@@ -670,281 +1028,57 @@ def min(a: ArrayLike, axis: Axis = None, keepdims: bool = False) -> Tensor:  # n
 # --------------------------------------------------------------------- #
 # softmax / normalization primitives
 # --------------------------------------------------------------------- #
+def _softmax_forward(xs, axis, out, tmp):
+    x = xs[0]
+    t = np.subtract(x, x.max(axis=axis, keepdims=True), out=tmp[0])
+    np.exp(t, out=t)
+    return np.divide(t, t.sum(axis=axis, keepdims=True), out=out)
+
+
+def _softmax_adjoint(g, y, xs, axis, out, tmp):
+    # dL/dx = s * (g - sum(g * s))
+    out = np.multiply(g, y, out=out)
+    inner = np.sum(out, axis=axis, keepdims=True, out=tmp[0])
+    np.subtract(g, inner, out=out)
+    return np.multiply(out, y, out=out)
+
+
+def _kept(shape, axis):
+    return tuple(1 if d == axis else n for d, n in enumerate(shape))
+
+
+@_op(
+    _softmax_forward,
+    (Adjoint(_softmax_adjoint, into=True, tmp=((_kept, _F),)),),
+    flops=8.0,
+    tmp=(_F,),
+)
 def softmax(a: ArrayLike, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` with a fused backward."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_data = exps / exps.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            # dL/dx = s * (g - sum(g * s))
-            inner = (grad * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (grad - inner), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (a,), int(axis) % builtins.max(a.data.ndim, 1)
 
 
+def _log_softmax_forward(xs, axis, out, tmp):
+    x, (t1, t2) = xs[0], tmp
+    t1 = np.subtract(x, x.max(axis=axis, keepdims=True), out=t1)
+    t2 = np.exp(t1, out=t2)
+    return np.subtract(t1, np.log(t2.sum(axis=axis, keepdims=True)), out=out)
+
+
+@_op(
+    _log_softmax_forward,
+    (Adjoint(lambda g, y, xs, axis, out, tmp: g - np.exp(y) * g.sum(axis=axis, keepdims=True)),),
+    flops=8.0,
+    tmp=(_F, _F),
+)
 def log_softmax(a: ArrayLike, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
-    soft = np.exp(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True), own=True)
-
-    return Tensor._make(out_data, (a,), backward)
+    return (a,), int(axis) % builtins.max(a.data.ndim, 1)
 
 
+@_op(_binary(np.multiply), (_times(1), _times(0)), fusable=True)
 def dropout_mask(a: ArrayLike, mask: np.ndarray) -> Tensor:
     """Apply a fixed (already scaled) dropout mask; gradient uses same mask."""
-    a = as_tensor(a)
-    out_data = a.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad * mask, own=True)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-# --------------------------------------------------------------------- #
-# op tracing (the repro.obs hook point)
-# --------------------------------------------------------------------- #
-#: hook(name, phase, seconds, flops, nbytes) or None when tracing is off
-TraceHook = Callable[[str, str, float, float, int], None]
-
-_trace_hook: Optional[TraceHook] = None
-
-#: an AnomalyDetector (see repro.tensor.anomaly) or None when screening is off
-_anomaly_check = None
-
-
-def set_op_trace(hook: Optional[TraceHook]) -> Optional[TraceHook]:
-    """Install (or clear, with ``None``) the global op trace hook.
-
-    Returns the previously installed hook so callers can restore it —
-    ``repro.obs.profile`` uses this to support nested profiling contexts.
-    """
-    global _trace_hook
-    previous = _trace_hook
-    _trace_hook = hook
-    return previous
-
-
-def op_trace_active() -> bool:
-    """Whether an op trace hook (``repro.obs.profile``) is installed."""
-    return _trace_hook is not None
-
-
-def set_anomaly_check(detector):
-    """Install (or clear, with ``None``) the global NaN/Inf screen.
-
-    ``detector`` is a :class:`repro.tensor.anomaly.AnomalyDetector`; returns
-    the previously installed one so :func:`repro.tensor.detect_anomaly` can
-    nest contexts.
-    """
-    global _anomaly_check
-    previous = _anomaly_check
-    _anomaly_check = detector
-    return previous
-
-
-def anomaly_check_active():
-    """The detector of the innermost active ``detect_anomaly`` context, if any."""
-    return _anomaly_check
-
-
-#: a CaptureRecorder (see repro.compile.capture) or None when capture is off.
-#: Installed by CompiledExecutor around a single trace step; every traced
-#: primitive reports (name, args, kwargs, out) so the recorder can rebuild
-#: the op stream as a replayable linear program.
-_op_capture = None
-
-
-def set_op_capture(recorder):
-    """Install (or clear, with ``None``) the global op-capture recorder.
-
-    Returns the previously installed recorder so callers can restore it.
-    Capture composes with the trace hook and the anomaly screen, but it
-    does *not* see ops executed under ``inference_mode`` (the wrapper is
-    bypassed entirely there) — compiled predict traces run under
-    ``no_grad`` instead.
-    """
-    global _op_capture
-    previous = _op_capture
-    _op_capture = recorder
-    return previous
-
-
-def op_capture_active() -> bool:
-    """Whether a compile-capture recorder is installed."""
-    return _op_capture is not None
-
-
-def notify_host_input(value: np.ndarray, regen=None) -> np.ndarray:
-    """Declare ``value`` a per-step host-generated input (RNG draw, mask).
-
-    Modules that feed freshly generated NumPy arrays into traced ops each
-    step (latent noise, dropout masks) call this right after drawing.  With
-    no capture active it is a no-op returning ``value``.  Under capture the
-    recorder registers the array so the plan treats it as a per-step input
-    rather than a frozen constant; ``regen``, when given, is a closure that
-    re-draws the value from the same generator so replay reproduces the
-    serial RNG stream bit-exactly.
-    """
-    if _op_capture is not None:
-        _op_capture.record_host_input(value, regen)
-    return value
-
-
-def notify_compile_unsupported(reason: str) -> None:
-    """Declare that the current step has Python-level state the compiler
-    cannot replay (running-stat updates, data-dependent masks).
-
-    No-op unless a capture is active; under capture the recorder marks the
-    trace dead so the executor permanently falls back to the interpreted
-    path for this signature.
-    """
-    if _op_capture is not None:
-        _op_capture.mark_unsupported(reason)
-
-
-#: FLOPs per *output* element for elementwise ops (rough analytic costs;
-#: transcendentals are charged a few flops, data movement is free)
-_ELEMENTWISE_FLOPS = {
-    "add": 1.0,
-    "sub": 1.0,
-    "mul": 1.0,
-    "div": 1.0,
-    "neg": 1.0,
-    "power": 2.0,
-    "exp": 4.0,
-    "log": 4.0,
-    "sqrt": 2.0,
-    "abs": 1.0,
-    "maximum": 1.0,
-    "minimum": 1.0,
-    "clip": 2.0,
-    "where": 1.0,
-    "huber": 4.0,
-    "tanh": 6.0,
-    "sigmoid": 6.0,
-    "relu": 1.0,
-    "leaky_relu": 2.0,
-    "softplus": 8.0,
-    "softmax": 8.0,
-    "log_softmax": 8.0,
-    "dropout_mask": 1.0,
-    # data movement: no arithmetic
-    "transpose": 0.0,
-    "swapaxes": 0.0,
-    "reshape": 0.0,
-    "getitem": 0.0,
-    "gather": 0.0,
-    "concat": 0.0,
-    "stack": 0.0,
-    "pad": 0.0,
-    "broadcast_to": 0.0,
-}
-
-#: reductions are charged one flop per *input* element
-_REDUCTION_OPS = frozenset({"sum", "mean", "max"})
-
-
-def _operand_size(value: ArrayLike) -> int:
-    if isinstance(value, Tensor):
-        return value.data.size
-    return int(np.size(value))
-
-
-def _estimate_flops(name: str, out_data: np.ndarray, args: tuple) -> float:
-    """Analytic forward-FLOP estimate for one traced op call."""
-    if name in ("matmul", "linear"):
-        a = args[0]
-        inner = (a.data if isinstance(a, Tensor) else np.asarray(a)).shape[-1]
-        return 2.0 * float(out_data.size) * float(inner)
-    if name in _REDUCTION_OPS and args:
-        return float(_operand_size(args[0]))
-    return float(out_data.size) * _ELEMENTWISE_FLOPS.get(name, 1.0)
-
-
-def _traced(name: str, fn):
-    """Wrap a primitive so an active trace hook (and/or the anomaly screen)
-    sees forward and backward."""
-
-    def wrapper(*args, **kwargs):
-        hook = _trace_hook
-        anomaly = _anomaly_check
-        capture = _op_capture
-        if (hook is None and anomaly is None and capture is None) or tensor_module._state.inference_mode:
-            return fn(*args, **kwargs)
-        if hook is None and anomaly is None:
-            # capture-only fast path: record the call, skip timing/screening
-            out = fn(*args, **kwargs)
-            capture.record_op(name, args, kwargs, out)
-            return out
-        start = _time.perf_counter()
-        out = fn(*args, **kwargs)
-        if hook is not None:
-            elapsed = _time.perf_counter() - start
-            nbytes = int(out.data.nbytes)
-            flops = _estimate_flops(name, out.data, args)
-            hook(name, "forward", elapsed, flops, nbytes)
-        else:
-            nbytes = 0
-            flops = 0.0
-        # may raise NumericalAnomalyError; returns the creation trace that a
-        # later backward anomaly of this node will report
-        trace = anomaly.after_forward(name, out.data) if anomaly is not None else None
-        inner = out._backward_fn
-        if inner is not None:
-            # Backward FLOPs are charged at the conventional 2x forward; the
-            # gradient array has the output's shape, hence the same bytes.
-            def traced_backward(grad: np.ndarray, _inner=inner, _trace=trace) -> None:
-                backward_anomaly = _anomaly_check
-                if backward_anomaly is not None:
-                    backward_anomaly.check_grad(name, grad, _trace)
-                backward_hook = _trace_hook
-                if backward_hook is None:
-                    _inner(grad)
-                    return
-                t0 = _time.perf_counter()
-                _inner(grad)
-                backward_hook(name, "backward", _time.perf_counter() - t0, 2.0 * flops, nbytes)
-
-            out._backward_fn = traced_backward
-        if capture is not None:
-            capture.record_op(name, args, kwargs, out)
-        return out
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__qualname__ = fn.__qualname__
-    wrapper.__doc__ = fn.__doc__
-    wrapper.__wrapped__ = fn
-    return wrapper
-
-
-#: the primitive ops exposed to tracing; ``var`` and ``min`` are composites
-#: whose constituent primitives are traced instead
-TRACED_OPS = (
-    "add", "sub", "mul", "div", "neg", "power", "exp", "log", "sqrt", "abs",
-    "maximum", "minimum", "clip", "where", "huber", "tanh", "sigmoid", "relu",
-    "leaky_relu", "softplus", "matmul", "linear", "transpose", "swapaxes",
-    "reshape", "getitem", "gather", "concat", "stack", "pad", "broadcast_to",
-    "sum", "mean", "max", "softmax", "log_softmax", "dropout_mask",
-)
-
-
-def _install_tracing() -> None:
-    namespace = globals()
-    for op_name in TRACED_OPS:
-        namespace[op_name] = _traced(op_name, namespace[op_name])
-
-
-_install_tracing()
+    return (as_tensor(a), as_tensor(mask)), None

@@ -20,7 +20,7 @@ CPU-bound either way, and float64 makes the numerical gradient checks in
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class inference_mode(no_grad):
     """The serving fast path: ``no_grad`` plus zero per-op bookkeeping.
 
     Beyond disabling graph recording, ops executed inside this context skip
-    the trace/anomaly wrapper entirely (:func:`repro.tensor.ops.set_op_trace`
-    hooks and :func:`detect_anomaly` screens see nothing), so a forward pass
+    every interceptor (:class:`Hooks`: profiler traces, :func:`detect_anomaly`
+    screens and compile capture see nothing), so a forward pass
     costs exactly its NumPy arithmetic.  Online inference
     (:mod:`repro.serve`) runs every model forward under this context; its
     own request-level metrics replace op-level tracing there.  Like
@@ -130,20 +130,61 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...], out: Optional[np.ndarr
     return np.ascontiguousarray(reduced).reshape(shape)
 
 
-#: hook(nbytes) called whenever the engine allocates a fresh gradient buffer
-#: (a defensive copy or a zero-fill); installed by ``repro.obs.profile`` to
-#: count the allocations that in-place accumulation is meant to avoid.
-_grad_alloc_hook: Optional[Callable[[int], None]] = None
+class Hooks:
+    """The process's op interceptors: one immutable snapshot per install.
 
+    ``repro.tensor.ops._dispatch`` reads this state once per op call; with
+    nothing installed that read is the whole cost of interception.
 
-def set_grad_alloc_hook(hook: Optional[Callable[[int], None]]) -> Optional[Callable[[int], None]]:
-    """Install (or clear, with ``None``) the gradient-allocation hook.
+    * ``trace(name, phase, seconds, flops, nbytes)`` times every forward and
+      backward op (installed by ``repro.obs.profile``);
+    * ``anomaly`` is a :class:`repro.tensor.anomaly.AnomalyDetector` that
+      screens forward outputs and upstream gradients (``detect_anomaly``);
+    * ``capture`` is a :class:`repro.compile.CaptureRecorder` recording the
+      op stream of one step for compilation;
+    * ``grad_alloc(nbytes)`` is called whenever the tape allocates a fresh
+      gradient buffer (a defensive copy or a zero-fill) — the allocations
+      in-place accumulation is meant to avoid.
 
-    Returns the previously installed hook so callers can restore it.
+    None of them sees ops run under :class:`inference_mode`.
     """
-    global _grad_alloc_hook
-    previous = _grad_alloc_hook
-    _grad_alloc_hook = hook
+
+    __slots__ = ("trace", "anomaly", "capture", "grad_alloc", "per_op")
+
+    def __init__(self, trace=None, anomaly=None, capture=None, grad_alloc=None):
+        self.trace = trace
+        self.anomaly = anomaly
+        self.capture = capture
+        self.grad_alloc = grad_alloc
+        #: whether any per-op interceptor is installed (the dispatch test)
+        self.per_op = trace is not None or anomaly is not None or capture is not None
+
+
+_HOOK_NAMES = ("trace", "anomaly", "capture", "grad_alloc")
+_hooks = Hooks()
+
+
+def hooks() -> Hooks:
+    """The interceptors installed right now."""
+    return _hooks
+
+
+def set_hooks(**changes) -> dict:
+    """Install (or clear, with ``None``) interceptors by name.
+
+    Returns the previous values of exactly the named interceptors, so
+    ``set_hooks(**previous)`` restores them — the pattern every context
+    manager (``repro.obs.profile``, ``detect_anomaly``, compile capture)
+    uses to nest.
+    """
+    global _hooks
+    unknown = set(changes) - set(_HOOK_NAMES)
+    if unknown:
+        raise TypeError(f"unknown hooks {sorted(unknown)}; expected some of {_HOOK_NAMES}")
+    previous = {name: getattr(_hooks, name) for name in changes}
+    fields = {name: getattr(_hooks, name) for name in _HOOK_NAMES}
+    fields.update(changes)
+    _hooks = Hooks(**fields)
     return previous
 
 
@@ -221,29 +262,11 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # graph construction / backward
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Iterable["Tensor"],
-        backward_fn: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        """Create a graph node from an op's output (internal helper for ops)."""
-        if not _state.grad_enabled:
-            # no_grad / inference_mode: no parents scan, no closure retained
-            return Tensor(data)
-        parents = tuple(parents)
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward_fn = backward_fn
-        return out
-
     def _accumulate(self, grad: np.ndarray, own: bool = False) -> None:
         """Accumulate ``grad`` into :attr:`grad` in place.
 
         ``own=True`` asserts that ``grad`` is a freshly allocated, writable
-        float64 array that the calling backward closure will never touch
+        float64 array that the calling adjoint will never touch
         again (e.g. the result of ``grad * b.data``) — it is then adopted
         directly as the gradient buffer instead of being copied.  Arrays
         that alias anything persistent (the upstream gradient itself, views
@@ -264,8 +287,8 @@ class Tensor:
             self.grad = grad
             return
         self.grad = grad.copy()
-        if _grad_alloc_hook is not None:
-            _grad_alloc_hook(self.grad.nbytes)
+        if _hooks.grad_alloc is not None:
+            _hooks.grad_alloc(self.grad.nbytes)
 
     def _grad_buffer(self) -> np.ndarray:
         """Return :attr:`grad`, zero-filling it first if unset.
@@ -277,8 +300,8 @@ class Tensor:
         buf = self.grad
         if buf is None:
             buf = self.grad = np.zeros(self.data.shape)
-            if _grad_alloc_hook is not None:
-                _grad_alloc_hook(buf.nbytes)
+            if _hooks.grad_alloc is not None:
+                _hooks.grad_alloc(buf.nbytes)
         return buf
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:

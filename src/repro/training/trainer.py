@@ -43,8 +43,7 @@ draw no randomness in the training forward pass the parallel loss
 trajectory matches serial training to float64 reduction accuracy at any
 worker count.  Evaluation and prediction route through a
 :class:`repro.exec.InferenceExecutor` (the same graph-free fast path the
-serving plane uses).  The legacy ``TrainerConfig(n_workers=N)`` spelling
-still works for one release and emits a :class:`DeprecationWarning`.
+serving plane uses).
 
 Scaling convention: models operate in z-scored space; the loss compares
 against scaled targets while reported metrics are computed in raw units via
@@ -55,7 +54,6 @@ the masked Huber loss and masked metrics automatically.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,10 +102,6 @@ class TrainerConfig:
     batch_hook: Optional[object] = None  # fault injection (resilience.faults)
     # --- execution backend (repro.exec; see DESIGN.md "Executor") ------- #
     executor: Optional[ExecutorSpec] = None  # None -> serial in-process
-    # --- deprecated spellings of executor= (one release of grace) ------- #
-    n_workers: int = 0  # DEPRECATED: use executor=ExecutorSpec.parallel(...)
-    parallel_start_method: Optional[str] = None  # DEPRECATED: ExecutorSpec.start_method
-    prefetch: bool = True  # DEPRECATED: ExecutorSpec.prefetch
 
 
 @dataclass
@@ -195,32 +189,14 @@ class Trainer:
 
     @staticmethod
     def _resolve_executor_spec(cfg: TrainerConfig) -> ExecutorSpec:
-        """Map the config onto an :class:`ExecutorSpec`, legacy knobs included."""
+        """Map the config onto an :class:`ExecutorSpec`."""
         spec = cfg.executor
         if spec is None:
-            if cfg.n_workers >= 2:
-                warnings.warn(
-                    "TrainerConfig(n_workers=...) is deprecated; pass "
-                    "executor=ExecutorSpec.parallel(n_workers=...) instead",
-                    DeprecationWarning,
-                    stacklevel=4,
-                )
-                return ExecutorSpec.parallel(
-                    n_workers=cfg.n_workers,
-                    start_method=cfg.parallel_start_method,
-                    prefetch=cfg.prefetch,
-                    detect_anomaly=cfg.detect_anomaly,
-                )
             return ExecutorSpec.serial(detect_anomaly=cfg.detect_anomaly)
         if spec.kind == "inference":
             raise ValueError(
                 "TrainerConfig(executor=...) must be a serial, parallel, "
                 "sharded, or compiled spec; an inference executor cannot train"
-            )
-        if cfg.n_workers:
-            raise ValueError(
-                "pass either TrainerConfig(executor=...) or the deprecated "
-                "n_workers=, not both"
             )
         if cfg.detect_anomaly and not spec.detect_anomaly:
             spec = spec.with_overrides(detect_anomaly=True)

@@ -60,18 +60,13 @@ def tiny_dataset() -> TrafficDataset:
 def _global_state_leaks() -> list:
     """Deviations from the documented clean defaults, as readable labels."""
     from repro.obs import profiler as profiler_module
-    from repro.tensor import ops as tensor_ops
     from repro.tensor import tensor as tensor_core
 
     leaks = []
-    if tensor_ops._trace_hook is not None:
-        leaks.append("op-trace hook still installed (set_op_trace)")
-    if tensor_ops._anomaly_check is not None:
-        leaks.append("anomaly check still installed (set_anomaly_check)")
-    if tensor_ops._op_capture is not None:
-        leaks.append("op-capture recorder still installed (set_op_capture)")
-    if tensor_core._grad_alloc_hook is not None:
-        leaks.append("grad-alloc hook still installed (set_grad_alloc_hook)")
+    current = tensor_core.hooks()
+    for name in ("trace", "anomaly", "capture", "grad_alloc"):
+        if getattr(current, name) is not None:
+            leaks.append(f"{name} interceptor still installed (set_hooks)")
     if tensor_core._state.grad_enabled is not True:
         leaks.append("gradients left disabled (no_grad not unwound)")
     if tensor_core._state.inference_mode is not False:
@@ -83,13 +78,9 @@ def _global_state_leaks() -> list:
 
 def _reset_global_state() -> None:
     from repro.obs import profiler as profiler_module
-    from repro.tensor import ops as tensor_ops
     from repro.tensor import tensor as tensor_core
 
-    tensor_ops.set_op_trace(None)
-    tensor_ops.set_anomaly_check(None)
-    tensor_ops.set_op_capture(None)
-    tensor_core.set_grad_alloc_hook(None)
+    tensor_core.set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
     tensor_core._state.grad_enabled = True
     tensor_core._state.inference_mode = False
     profiler_module._active = None

@@ -33,7 +33,7 @@ from repro.nn import Module, Parameter
 from repro.obs import ListSink
 from repro.optim import Adam, clip_grad_norm
 from repro.serve import ForecasterArtifact, ServeConfig, ServingEngine
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, ops, set_hooks
 from repro.tensor.gradcheck import numerical_gradient
 from repro.training import Trainer, TrainerConfig
 
@@ -239,11 +239,11 @@ class TestFallback:
         with CompiledExecutor(model) as executor:
             executor.train_step(None, (x, y))  # trace + validate
             replays = executor.stats["replays"]
-            ops.set_op_trace(lambda name, *rest: traced_ops.append(name))
+            restore = set_hooks(trace=lambda name, *rest: traced_ops.append(name))
             try:
                 hooked = executor.train_step(None, (x, y))
             finally:
-                ops.set_op_trace(None)
+                set_hooks(**restore)
             assert np.isfinite(hooked.loss)
             assert traced_ops  # the interpreted step fed the profiler hook
             assert executor.stats["replays"] == replays  # plan was bypassed

@@ -295,28 +295,14 @@ class TestExecutorSpec:
 
 
 # --------------------------------------------------------------------- #
-# Trainer integration: spec resolution + the deprecation shim
+# Trainer integration: spec resolution
 # --------------------------------------------------------------------- #
 class TestTrainerShim:
-    def test_n_workers_warns_and_builds_parallel_spec(self, tiny_dataset):
-        model = small_model(tiny_dataset.num_sensors)
-        with pytest.warns(DeprecationWarning, match="n_workers"):
-            trainer = Trainer(model, tiny_dataset, SPEC, TrainerConfig(n_workers=2))
-        assert trainer.executor_spec.kind == "parallel"
-        assert trainer.executor_spec.n_workers == 2
-        assert isinstance(trainer.executor, ParallelExecutor)
-
     def test_default_is_serial(self, tiny_dataset):
         model = small_model(tiny_dataset.num_sensors)
         trainer = Trainer(model, tiny_dataset, SPEC, TrainerConfig())
         assert trainer.executor_spec.kind == "serial"
         assert isinstance(trainer.executor, SerialExecutor)
-
-    def test_executor_and_n_workers_together_raise(self, tiny_dataset):
-        model = small_model(tiny_dataset.num_sensors)
-        config = TrainerConfig(executor=ExecutorSpec.serial(), n_workers=2)
-        with pytest.raises(ValueError, match="not both"):
-            Trainer(model, tiny_dataset, SPEC, config)
 
     def test_inference_spec_rejected(self, tiny_dataset):
         model = small_model(tiny_dataset.num_sensors)

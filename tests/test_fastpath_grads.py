@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, ops, set_grad_alloc_hook
+from repro.tensor import Tensor, ops, set_hooks
 from repro.tensor.gradcheck import check_fastpath_suite, check_gradients
 
 
@@ -145,19 +145,19 @@ class TestInPlaceAccumulation:
 
     def test_alloc_hook_counts_buffers(self, rng):
         events = []
-        restore = set_grad_alloc_hook(lambda nbytes: events.append(nbytes))
+        restore = set_hooks(grad_alloc=lambda nbytes: events.append(nbytes))
         try:
             x = t(rng, (8, 8))
             (x[0:4].sum() + ops.tanh(x).sum()).backward()
         finally:
-            set_grad_alloc_hook(restore)
+            set_hooks(**restore)
         assert events, "engine-side grad allocations should fire the hook"
         assert all(n > 0 for n in events)
 
     def test_hook_restore_returns_previous(self):
         sentinel = lambda n: None  # noqa: E731
-        assert set_grad_alloc_hook(sentinel) is None
-        assert set_grad_alloc_hook(None) is sentinel
+        assert set_hooks(grad_alloc=sentinel) == {"grad_alloc": None}
+        assert set_hooks(grad_alloc=None) == {"grad_alloc": sentinel}
 
 
 class TestFastpathSuite:

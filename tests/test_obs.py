@@ -9,7 +9,7 @@ from repro import obs
 from repro.data import WindowSpec
 from repro.baselines import GRUForecaster
 from repro.nn import Linear, Module, ReLU, Sequential
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor, hooks, ops
 from repro.training import Trainer, TrainerConfig, TrainingHistory
 
 
@@ -72,12 +72,10 @@ class TestProfiler:
         assert "grad allocs" in prof.to_table()
 
     def test_grad_alloc_hook_restored_after_context(self):
-        from repro.tensor.tensor import set_grad_alloc_hook
-
         with obs.profile():
             pass
         # outside the context the hook must be back to None
-        assert set_grad_alloc_hook(None) is None
+        assert hooks().grad_alloc is None
 
     def test_disabled_mode_records_nothing(self):
         a, w = small_graph()
@@ -88,7 +86,7 @@ class TestProfiler:
         loss.backward()  # outside the context: tracing is off
         assert prof.total_calls == calls_inside
         assert not obs.is_profiling()
-        assert ops.set_op_trace(None) is None  # no hook left installed
+        assert hooks().trace is None  # no hook left installed
 
     def test_nested_contexts_restore_outer(self):
         a, w = small_graph()

@@ -1,9 +1,16 @@
 """Property-based autodiff fuzzer: random op programs vs numerical gradients.
 
-Each case composes 5-8 randomly drawn ops from the traced registry
-(:data:`repro.tensor.ops.TRACED_OPS`) into a small program over 2-D/3-D
+Each case composes 5-8 randomly drawn ops from the rule table
+(:data:`repro.tensor.ops.RULES`) into a small program over 2-D/3-D
 tensors, then asserts the analytic gradients of every leaf input against
 central finite differences (:func:`repro.tensor.check_gradients`).
+
+The compiled leg runs the same programs through compile capture and
+:func:`repro.compile.lower_training_plan` (every leaf registered as a
+parameter, every intermediate weighted into the loss), replays the plan's
+forward and adjoint programs, and asserts loss and leaf gradients match
+the interpreted tape to 1e-9.  Tape and plan interpret one rule table, so
+this guards the two interpreters, not two copies of each formula.
 
 The generator is fully deterministic (seeded per case) and *smoothness
 aware*: ops with gradient kinks (``relu``, ``abs``, ``max`` ties, ``clip``
@@ -19,7 +26,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, ops
+from repro.compile import CaptureRecorder, LoweringError, lower_training_plan
+from repro.tensor import Tensor, ops, set_hooks
 from repro.tensor.gradcheck import check_gradients
 
 CASES = 200
@@ -60,14 +68,15 @@ def _apply(step, value: Tensor, leaves) -> Tensor:
         return ops.reshape(value, spec["shape"])
     if name == "swapaxes":
         return ops.swapaxes(value, spec["axis1"], spec["axis2"])
+    if name == "transpose":
+        return ops.transpose(value, spec["axes"])
     if name == "pad":
         return ops.pad(value, spec["pad_width"])
     if name in ("sum", "mean", "max"):
         return getattr(ops, name)(value, axis=spec["axis"], keepdims=True)
     if name in ("softmax", "log_softmax"):
         return getattr(ops, name)(value, axis=spec["axis"])
-    # pure unary: neg, exp, log, sqrt, abs, tanh, sigmoid, relu, softplus,
-    # transpose
+    # pure unary: neg, exp, log, sqrt, abs, tanh, sigmoid, relu, softplus
     return getattr(ops, name)(value)
 
 
@@ -173,7 +182,10 @@ def _next_step(rng: np.random.Generator, value: np.ndarray, leaves):
         k = int(rng.integers(2, 4))
         return (name, {"weight": fresh((shape[1], k)), "bias": fresh((k,))})
     if name == "transpose":
-        return (name, {})
+        # a random permutation, each axis negative half the time
+        ndim = len(shape)
+        axes = tuple(int(ax) - ndim * int(rng.random() < 0.5) for ax in rng.permutation(ndim))
+        return (name, {"axes": axes})
     if name == "swapaxes":
         if len(shape) < 2:
             return None
@@ -252,11 +264,50 @@ class TestAutodiffFuzz:
         for seed in range(CASES):
             steps, _ = generate_program(seed)
             used.update(name for name, _ in steps)
-        unknown = used - set(ops.TRACED_OPS)
+        unknown = used - set(ops.RULES)
         assert not unknown, f"fuzzer emitted unregistered ops: {sorted(unknown)}"
         assert len(used) >= 20, (
             f"fuzzer only exercised {len(used)} distinct ops: {sorted(used)}"
         )
+
+    @pytest.mark.parametrize("seed", range(CASES))
+    def test_compiled_plan_matches_tape(self, seed):
+        steps, leaves = generate_program(seed)
+        tensors = [Tensor(leaf, requires_grad=True) for leaf in leaves]
+        recorder = CaptureRecorder()
+        recorder.register_params(tensors)
+        restore = set_hooks(capture=recorder)
+        try:
+            # every intermediate feeds the loss too, so each node takes a
+            # second gradient contribution (the plan's accumulate paths);
+            # non-uniform weights keep permuted gradients visible
+            weights = np.random.default_rng(seed)
+            value, loss = tensors[0], None
+            for step in steps:
+                value = _apply(step, value, tensors)
+                term = ops.sum(ops.mul(value, weights.uniform(0.5, 1.5, size=value.shape)))
+                loss = term if loss is None else ops.add(loss, term)
+            loss.backward()
+        finally:
+            set_hooks(**restore)
+        if any(name == "where" for name, _ in steps):
+            with pytest.raises(LoweringError, match="where"):
+                lower_training_plan(recorder, loss)
+            return
+        tape_grads = [t.grad for t in tensors]
+        plan = lower_training_plan(recorder, loss)
+        value = plan.run_forward({})
+        plan.run_adjoint()
+        for t in tensors:
+            t.grad = None
+        plan.export_grads()
+        np.testing.assert_allclose(value, loss.data, rtol=1e-9, atol=1e-12)
+        for i, (t, expected) in enumerate(zip(tensors, tape_grads)):
+            assert (t.grad is None) == (expected is None), f"leaf {i}"
+            if expected is not None:
+                np.testing.assert_allclose(
+                    t.grad, expected, rtol=1e-9, atol=1e-12, err_msg=f"leaf {i}"
+                )
 
     def test_generation_is_deterministic(self):
         a_steps, a_leaves = generate_program(42)

@@ -130,6 +130,12 @@ class TestShapeOps:
         a = t((2, 3, 4), rng)
         check_gradients(lambda x: ops.transpose(x), [a])
         check_gradients(lambda x: ops.transpose(x, (1, 2, 0)), [a])
+        # negative axes: the inverse permutation is taken after normalising.
+        # A non-uniform weight makes a wrongly permuted gradient visible
+        # (a plain sum has an all-ones upstream gradient).
+        weight = np.arange(24.0).reshape(2, 4, 3)
+        check_gradients(lambda x: ops.transpose(x, (0, -1, -2)) * weight, [a])
+        check_gradients(lambda x: x.transpose(0, -1, 1) * weight, [a])
 
     def test_swapaxes(self, rng):
         a = t((2, 3, 4), rng)
