@@ -13,7 +13,7 @@ Three registration channels feed the recorder:
 * ``register_input(name, tensor)`` — the executor declares the step's
   ``x``/``y`` tensors so replay can rebind fresh batches by name;
 * ``register_params(parameters)`` — model parameters are re-read through
-  ``parameter.data`` on every replay (optimizers rebind ``.data``);
+  ``parameter.data`` on every replay (``load_state_dict`` rebinds ``.data``);
 * ``record_host_input(value, regen)`` — called by
   :func:`repro.tensor.ops.notify_host_input` at every per-step RNG draw
   site (latent noise, dropout masks).  ``regen`` re-draws from the same

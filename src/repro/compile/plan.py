@@ -6,7 +6,7 @@
 
 * a **node table** classifying every array in the trace as per-step input
   (``x``/``y``, rebound by name each replay), parameter (re-read through
-  ``parameter.data`` so optimizer rebinds are seen), host input (per-step
+  ``parameter.data`` so ``load_state_dict`` rebinds are seen), host input (per-step
   RNG draw, regenerated each replay to keep the serial RNG stream), or
   frozen constant (everything else — precomputed supports, scalars);
 * a **forward program** of build-time-specialized closures writing into

@@ -1,9 +1,11 @@
 """``python -m repro.harness bench`` — the perf trajectory harness.
 
 Runs a fixed suite — autodiff op microbenchmarks, one instrumented ST-WA
-smoke epoch, and the interpreted-vs-compiled executor comparison
-(:mod:`repro.compile`) — and writes ``BENCH_<date>.json`` with wall times,
-engine-side gradient-allocation counts (the ``grad_alloc`` interceptor of
+smoke epoch, the interpreted-vs-compiled executor comparison
+(:mod:`repro.compile`), and the optimizer layer (``Adam.step`` and
+``clip_grad_norm`` over ST-WA's parameters) — and writes
+``BENCH_<date>.json`` with wall times, engine-side gradient-allocation
+counts (the ``grad_alloc`` interceptor of
 :func:`repro.tensor.set_hooks`), and per-benchmark / per-op deltas
 against the most recent previous ``BENCH_*.json`` in the output directory.
 The same payload is mirrored to a root-level ``BENCH_latest.json`` — a
@@ -158,6 +160,47 @@ def _st_wa_smoke(settings: RunSettings) -> Dict[str, object]:
         "ops": {
             f"{stat['name']}.{stat['phase']}": stat["seconds"] for stat in summary["ops"]
         },
+    }
+
+
+def _optim_bench(settings: RunSettings, repeats: int) -> Dict[str, object]:
+    """Best-of-``repeats`` ``Adam.step`` and ``clip_grad_norm`` over ST-WA's parameters.
+
+    Gradients are seeded once (norm ~340); each clip call starts from the
+    same gradients (restored outside the timed region), so every timed
+    call rescales to the max norm of 1.
+    """
+    from ..baselines import BuildSpec, build_from_spec
+    from ..optim import Adam, clip_grad_norm
+    from .runner import get_dataset
+
+    dataset = get_dataset("PEMS08", settings.profile)
+    model = build_from_spec(
+        "st-wa", BuildSpec(dataset=dataset, history=12, horizon=12, seed=settings.seed)
+    )
+    parameters = model.parameters()
+    rng = np.random.default_rng(settings.seed)
+    grads = [rng.standard_normal(parameter.shape) for parameter in parameters]
+    for parameter, grad in zip(parameters, grads):
+        parameter.grad = grad.copy()
+    optimizer = Adam(parameters, lr=settings.lr)
+    optimizer.step()  # warm the arena outside the timed region
+    step_best = clip_best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        optimizer.step()
+        step_best = min(step_best, time.perf_counter() - start)
+        start = time.perf_counter()
+        clip_grad_norm(parameters, 1.0)
+        clip_best = min(clip_best, time.perf_counter() - start)
+        for parameter, grad in zip(parameters, grads):
+            np.copyto(parameter.grad, grad)
+    return {
+        "model": "st-wa",
+        "parameters": len(parameters),
+        "elements": int(sum(parameter.size for parameter in parameters)),
+        "repeats": repeats,
+        "seconds": {"adam_step": step_best, "clip_grad_norm": clip_best},
     }
 
 
@@ -355,6 +398,7 @@ def run(
 
     st_wa = _st_wa_smoke(settings)
     compiled = _compiled_bench(settings)
+    optim = _optim_bench(settings, repeats=max(repeats, 20))
 
     payload: Dict[str, object] = {
         "schema": 2,
@@ -364,6 +408,7 @@ def run(
         "micro": micro,
         "st_wa_smoke": st_wa,
         "compiled": compiled,
+        "optim": optim,
     }
 
     previous_name = None
@@ -397,6 +442,9 @@ def run(
                         label: stats.get("compiled_step_seconds")
                         for label, stats in old.get("compiled", {}).get("steps", {}).items()
                     },
+                ),
+                "optim_seconds": _relative_deltas(
+                    optim["seconds"], old.get("optim", {}).get("seconds", {})
                 ),
             }
         payload["previous"] = previous_name
@@ -452,6 +500,19 @@ def run(
             [
                 f"compiled_step_{label} (bs={step['batch_size']}, {step['speedup']:.2f}x)",
                 fmt(step["compiled_step_seconds"], 5),
+                "0",
+                "0",
+                f"{delta:+.1%}" if delta is not None else "-",
+            ]
+        )
+
+    optim_deltas = deltas.get("optim_seconds", {}) if deltas else {}
+    for name, seconds in optim["seconds"].items():
+        delta = optim_deltas.get(name)
+        rows.append(
+            [
+                f"optim_{name} ({optim['parameters']} params)",
+                fmt(seconds, 5),
                 "0",
                 "0",
                 f"{delta:+.1%}" if delta is not None else "-",

@@ -85,8 +85,17 @@ class Module:
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
 
     def parameters(self) -> List[Parameter]:
-        """Return all parameters of this module and its children."""
-        return [parameter for _, parameter in self.named_parameters()]
+        """Return every distinct parameter of this module and its children.
+
+        A parameter shared by several children (one module registered in
+        more places) is listed once, at its first occurrence, so optimizers
+        and gradient clipping see it once; :meth:`named_parameters` still
+        yields every qualified name.
+        """
+        unique: Dict[int, Parameter] = {}
+        for _, parameter in self.named_parameters():
+            unique.setdefault(id(parameter), parameter)
+        return list(unique.values())
 
     def modules(self) -> Iterator["Module"]:
         """Yield this module and all descendants."""

@@ -70,6 +70,14 @@ class TestBenchRun:
         assert st_wa["grad_allocs"] > 0
         assert st_wa["ops"], "per-op seconds should be recorded for delta tracking"
 
+    def test_optim_section_recorded(self, first_run):
+        _, result = first_run
+        optim = result.extras["payload"]["optim"]
+        assert optim["model"] == "st-wa"
+        assert optim["parameters"] == 63 and optim["elements"] == 113640
+        assert set(optim["seconds"]) == {"adam_step", "clip_grad_norm"}
+        assert all(seconds > 0 for seconds in optim["seconds"].values())
+
     def test_second_run_reports_deltas(self, first_run):
         out, _ = first_run
         result = bench.run(
@@ -82,6 +90,7 @@ class TestBenchRun:
         assert isinstance(deltas["st_wa_wall_seconds"], float)
         assert deltas["st_wa_ops"], "per-op deltas vs previous BENCH expected"
         assert set(deltas["compiled_step_seconds"]) == {"online", "train"}
+        assert set(deltas["optim_seconds"]) == {"adam_step", "clip_grad_norm"}
         assert not result.extras["regressed"]
 
     def test_check_fails_when_compiled_gate_fails(self, first_run, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines import GRUForecaster
 from repro.data import WindowSpec, finite_mask, impute_series
+from repro.exec import ExecutorSpec
 from repro.harness import chaos
 from repro.obs import ListSink, MetricsSink, SafeSink
 from repro.optim import Adam, SGD, clip_grad_norm
@@ -300,33 +301,49 @@ class TestSensorDropout:
 # --------------------------------------------------------------------- #
 # checkpoint/resume bit-exactness (repro.training)
 # --------------------------------------------------------------------- #
+def _assert_kill_and_resume_bit_exact(tiny_dataset, tmp_path, **config):
+    """Kill at epoch 2, resume a fresh trainer; it must equal the uninterrupted run."""
+    ckpt_dir = tmp_path / "ckpt"
+    interrupted = small_trainer(
+        tiny_dataset,
+        epochs=4,
+        checkpoint_dir=ckpt_dir,
+        batch_hook=FaultInjector([ProcessKillFault(epoch=2, batch=0)]),
+        **config,
+    )
+    with pytest.raises(SimulatedCrash):
+        interrupted.fit()
+    checkpoint = latest_checkpoint(ckpt_dir)
+    assert checkpoint is not None and "0001" in checkpoint.name
+
+    resumed_trainer = small_trainer(tiny_dataset, epochs=4, **config)
+    resumed = resumed_trainer.fit(resume_from=checkpoint)
+
+    reference_trainer = small_trainer(tiny_dataset, epochs=4, **config)
+    reference = reference_trainer.fit()
+
+    assert resumed.val_mae == reference.val_mae
+    assert resumed.train_loss == reference.train_loss
+    a = resumed_trainer.model.state_dict()
+    b = reference_trainer.model.state_dict()
+    assert set(a) == set(b)
+    for name in a:
+        np.testing.assert_array_equal(a[name], b[name])
+    return resumed_trainer
+
+
 class TestResume:
     def test_kill_and_resume_is_bit_exact(self, tiny_dataset, tmp_path):
-        ckpt_dir = tmp_path / "ckpt"
-        interrupted = small_trainer(
-            tiny_dataset,
-            epochs=4,
-            checkpoint_dir=ckpt_dir,
-            batch_hook=FaultInjector([ProcessKillFault(epoch=2, batch=0)]),
+        _assert_kill_and_resume_bit_exact(tiny_dataset, tmp_path)
+
+    def test_kill_and_resume_is_bit_exact_compiled(self, tiny_dataset, tmp_path):
+        # the resumed trainer's optimizer adopts the checkpoint weights
+        # into its arena while compiled plans read parameter.data per replay
+        resumed = _assert_kill_and_resume_bit_exact(
+            tiny_dataset, tmp_path, executor=ExecutorSpec.compiled()
         )
-        with pytest.raises(SimulatedCrash):
-            interrupted.fit()
-        checkpoint = latest_checkpoint(ckpt_dir)
-        assert checkpoint is not None and "0001" in checkpoint.name
-
-        resumed_trainer = small_trainer(tiny_dataset, epochs=4)
-        resumed = resumed_trainer.fit(resume_from=checkpoint)
-
-        reference_trainer = small_trainer(tiny_dataset, epochs=4)
-        reference = reference_trainer.fit()
-
-        assert resumed.val_mae == reference.val_mae
-        assert resumed.train_loss == reference.train_loss
-        a = resumed_trainer.model.state_dict()
-        b = reference_trainer.model.state_dict()
-        assert set(a) == set(b)
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name])
+        stats = resumed.executor.stats
+        assert stats["replays"] > 0 and stats["fallback_steps"] == 0
 
     def test_retention_keeps_last_and_best(self, tiny_dataset, tmp_path):
         ckpt_dir = tmp_path / "ckpt"
