@@ -32,11 +32,11 @@ lookup indexes the right rows.  The sharded loss/gradient recombine exactly
 (see DESIGN.md §15): shared weights receive the finite-target-weighted mean
 of shard gradients, and embedding rows are touched by exactly one shard.
 
-The neighbor structure is stored as top-``k`` ``(indices, weights)`` pairs,
-never as a dense ``(N, N)`` operator, so a metro-scale N=10k instance costs
-kilobytes of proximity state instead of gigabytes — neighbors can also be
-passed in directly (``neighbors=(idx, wt)``) when no dense adjacency exists
-at that scale.
+The neighbor structure is stored as top-``k`` ``(indices, weights)`` pairs
+(and their ``N·k``-entry sparse matrix), never as a dense ``(N, N)``
+operator, so a metro-scale N=10k instance costs kilobytes of proximity
+state instead of gigabytes — neighbors can also be passed in directly
+(``neighbors=(idx, wt)``) when no dense adjacency exists at that scale.
 """
 
 from __future__ import annotations
@@ -144,6 +144,7 @@ class SimSTForecaster(Module):
             wt = np.zeros((num_sensors, 1), dtype=np.float64)
         self._neighbor_idx = idx
         self._neighbor_wt = wt
+        self._neighbor_matrix = None  # (N, N) CSR of (idx, wt), built on first augment
         self._shard: Optional[Tuple[int, int]] = None
 
         self.node_embedding = Parameter(
@@ -192,11 +193,14 @@ class SimSTForecaster(Module):
     def augment(self, windows: np.ndarray) -> np.ndarray:
         """Append the proximity-aggregate channel: ``(B, N, H, F) -> (B, N, H, 2F)``.
 
-        Pure NumPy and fully deterministic — the sharded parent and the
-        serial forward call the *same* routine, which is what makes the
-        sharded step bit-identical in its inputs.  Needs the full network
-        (aggregation reads neighbor rows), so it always runs before any
-        sensor split.
+        Pure NumPy/SciPy and fully deterministic — the sharded parent and
+        the serial forward call the *same* routine, which is what makes the
+        sharded step bit-identical in its inputs.  The aggregate is one
+        sparse product: the ``(N, N)`` CSR matrix holding each sensor's
+        top-``k`` ``(index, weight)`` row times the windows laid out as
+        ``(N, B·H·F)``, so no ``(B, N, k, H, F)`` gather is materialised.
+        Needs the full network (aggregation reads neighbor rows), so it
+        always runs before any sensor split.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 4 or windows.shape[1] != self.num_sensors:
@@ -204,9 +208,22 @@ class SimSTForecaster(Module):
                 f"augment needs the full (B, {self.num_sensors}, H, F) batch, "
                 f"got shape {windows.shape}"
             )
-        gathered = windows[:, self._neighbor_idx]  # (B, N, k, H, F)
-        aggregate = np.einsum("nk,bnkhf->bnhf", self._neighbor_wt, gathered)
-        return np.concatenate([windows, aggregate], axis=-1)
+        if self._neighbor_matrix is None:
+            from scipy import sparse  # only SimST pays for the import
+
+            n, k = self._neighbor_idx.shape
+            row_starts = np.arange(0, n * k + 1, k)
+            self._neighbor_matrix = sparse.csr_matrix(
+                (self._neighbor_wt.ravel(), self._neighbor_idx.ravel(), row_starts),
+                shape=(n, n),
+            )
+        batch, sensors, history, features = windows.shape
+        by_sensor = windows.transpose(1, 0, 2, 3).reshape(sensors, -1)
+        aggregate = (self._neighbor_matrix @ by_sensor).reshape(sensors, batch, history, features)
+        out = np.empty((batch, sensors, history, 2 * features))
+        out[..., :features] = windows
+        out[..., features:] = aggregate.transpose(1, 0, 2, 3)
+        return out
 
     # ------------------------------------------------------------------ #
     def forward(self, x: Tensor) -> Tensor:

@@ -18,9 +18,11 @@ executor can be re-opened, which starts a fresh pool.  Worker/serialize/
 reduce wall times are attributed to the active :mod:`repro.obs` profiler's
 ``parallel`` section and mirrored into :class:`StepResult.stats`.
 
-``predict`` runs on the parent model in-process — prediction is not
-sharded (yet; sensor-sharded serving is the roadmap's next step), and the
-parent's weights are authoritative between optimizer steps.
+``predict`` runs on the parent model in-process: the parent's weights are
+authoritative between optimizer steps, so a batch-axis forecast needs no
+pool round trip.  Sharded prediction lives in
+:class:`repro.exec.ShardedExecutor`, which fans ``predict`` out over its
+sensor-shard workers.
 """
 
 from __future__ import annotations
@@ -87,8 +89,11 @@ class ParallelExecutor(Executor):
             self._pool = None
 
     # ------------------------------------------------------------------ #
-    def _make_shards(self, x: np.ndarray, y: np.ndarray):
-        """Split one batch into per-worker shards (subclasses swap the axis)."""
+    def _make_shards(self, x: np.ndarray, y: np.ndarray, stats: dict):
+        """Split one batch into per-worker shards (subclasses swap the axis).
+
+        Parent-side preparation a subclass times goes into ``stats``.
+        """
         from ..parallel import shard_batch
 
         return shard_batch(x, y, self._pool.n_workers)
@@ -104,8 +109,8 @@ class ParallelExecutor(Executor):
         serialize_start = time.perf_counter()
         state = weights if weights is not None else self.model.state_dict()
         weights_blob = checkpoint_module.dumps_state_dict(state)
-        serialize_seconds = time.perf_counter() - serialize_start
-        shards = self._make_shards(x, y)
+        stats = {"serialize": time.perf_counter() - serialize_start}
+        shards = self._make_shards(x, y, stats)
         results = self._pool.train_step(weights_blob, shards)
         reduce_start = time.perf_counter()
         total = all_reduce_gradients(
@@ -116,8 +121,7 @@ class ParallelExecutor(Executor):
         value = float(
             np.sum([result.weight * result.loss for result in results]) / total
         )
-        reduce_seconds = time.perf_counter() - reduce_start
-        stats = {"serialize": serialize_seconds, "reduce": reduce_seconds}
+        stats["reduce"] = time.perf_counter() - reduce_start
         for result in results:
             stats[f"worker{result.worker_id}"] = result.seconds
         profiler = current_profiler()

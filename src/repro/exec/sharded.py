@@ -5,8 +5,10 @@
 finite-target-count all-reduce — but splits every batch along the sensor
 axis into contiguous ranges (:func:`repro.parallel.shard_sensors`), so each
 worker holds the *whole model* while only ever evaluating its slice of the
-network.  That is the execution shape that scales N past one process:
-activation memory per worker is ``O(N/K)`` while the graph-free SimST
+network.  That is the execution shape that scales N past one process: a
+worker steps its slice in cache-sized sensor blocks
+(:func:`repro.parallel.engine.sensor_blocks`), so its activation memory is
+``O(block rows)`` rather than ``O(B·N/K)``, while the graph-free SimST
 track's parameters stay ``O(N·E)`` (see DESIGN.md §15 and
 :class:`repro.training.CapacityPlanner`).
 
@@ -24,8 +26,10 @@ gradient back onto the parent.
 
 The one cross-sensor coupling SimST has — the proximity-aggregate input
 channel — is computed **in the parent** on the full network
-(:meth:`SimSTForecaster.augment`, pure NumPy) before slicing, so workers
-receive pre-augmented windows and never need a neighbor's activations.
+(:meth:`SimSTForecaster.augment`, one sparse product) before slicing, so
+workers receive pre-augmented windows and never need a neighbor's
+activations.  Its wall time is reported as ``stats["augment"]`` (and in the
+profiler's ``parallel`` section), apart from transport.
 
 Axis selection
 --------------
@@ -45,6 +49,7 @@ can put a sharded executor directly behind a tenant.
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,10 +134,12 @@ class ShardedExecutor(ParallelExecutor):
     # ------------------------------------------------------------------ #
     # training: parent-side augmentation, sensor-axis split
     # ------------------------------------------------------------------ #
-    def _make_shards(self, x: np.ndarray, y: np.ndarray):
+    def _make_shards(self, x: np.ndarray, y: np.ndarray, stats: dict):
         if self.shard_axis != "sensor":
-            return super()._make_shards(x, y)
+            return super()._make_shards(x, y, stats)
+        augment_start = time.perf_counter()
         augmented = self.model.augment(np.asarray(x, dtype=np.float64))
+        stats["augment"] = time.perf_counter() - augment_start
         return [
             (augmented[:, start:stop], y[:, start:stop])
             for start, stop in self._ranges

@@ -26,7 +26,6 @@ gate is enforced and the best measured speedup falls below ``--min-speedup``
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -36,6 +35,7 @@ import numpy as np
 from ..baselines import BuildSpec, build_from_spec
 from ..data import WindowSpec
 from ..exec import ExecutorSpec
+from ..parallel.engine import available_cores
 from ..training import Trainer, TrainerConfig, TrainingHistory
 from .reporting import TableResult, fmt
 from .runner import RunSettings, get_dataset
@@ -46,13 +46,6 @@ DATASET = "PEMS08"  # smallest simulated network: the bench is about the loop
 EQUIVALENCE_MODEL = "st-wa-det"  # deterministic latents: exact parallel math
 EQUIVALENCE_RTOL = 1e-6
 EQUIVALENCE_EPOCHS = 3
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _train(
@@ -146,7 +139,7 @@ def run(
     if fast:
         settings = settings.with_overrides(epochs=3, max_batches=4, eval_batches=2)
     counts = list(worker_counts) if worker_counts else ([2] if fast else [2, 4])
-    cores = _available_cores()
+    cores = available_cores()
     dataset = get_dataset(DATASET, settings.profile)
 
     equivalence = _equivalence_check(dataset, settings)

@@ -32,7 +32,6 @@ Exit code is nonzero unless every enforced gate passes (``all_passed``).
 from __future__ import annotations
 
 import json
-import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -43,6 +42,7 @@ import numpy as np
 from ..baselines import BuildSpec, build_from_spec
 from ..data import WindowSpec
 from ..exec import ExecutorSpec, make_executor
+from ..parallel.engine import available_cores
 from ..training import Trainer, TrainerConfig, TrainingHistory
 from .reporting import TableResult, fmt
 from .runner import RunSettings, get_dataset
@@ -56,13 +56,6 @@ EQUIVALENCE_EPOCHS = 3
 SERVE_ATOL = 1e-9
 CITY_SENSORS = 10_000
 ENVELOPE_SLACK = 2.0  # measured N=10k peak runs ~1.4x the analytic model
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _train(
@@ -273,7 +266,7 @@ def run(
     if fast:
         settings = settings.with_overrides(epochs=3, max_batches=4, eval_batches=2)
         city_steps = min(city_steps, 2)
-    cores = _available_cores()
+    cores = available_cores()
     dataset = get_dataset(DATASET, settings.profile)
 
     equivalence = _equivalence_check(dataset, settings, n_workers)

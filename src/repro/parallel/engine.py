@@ -38,6 +38,7 @@ surfaces as :class:`WorkerError`.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import time
 from contextlib import nullcontext
@@ -175,12 +176,87 @@ def unshard_sensors(pieces: Sequence[np.ndarray]) -> np.ndarray:
 # --------------------------------------------------------------------- #
 # worker side
 # --------------------------------------------------------------------- #
+#: activation rows (batch x sensors) one worker block aims for: small enough
+#: that a block's activations stay cache-resident, large enough that GEMMs
+#: keep their efficiency (64 sensors at batch 16)
+BLOCK_ROWS = 1024
+
+
+def sensor_blocks(
+    sensor_shard: Optional[Tuple[int, int]], batch: int
+) -> List[Tuple[slice, Optional[Tuple[int, int]]]]:
+    """The blocks one worker steps its shard in, in sensor order.
+
+    Each block is ``(columns, sensor_range)``: the block's slice of the
+    worker's ``(B, stop - start, ...)`` arrays and the global
+    ``[start, stop)`` range to pass to ``set_sensor_shard``.  Sensor shards
+    split into contiguous ranges of ``BLOCK_ROWS // batch`` sensors (the
+    last one ragged); a batch-axis shard (``sensor_shard=None``) is one
+    block spanning the whole shard, with no sensor range to set.
+    """
+    if sensor_shard is None:
+        return [(slice(None), None)]
+    start, stop = sensor_shard
+    width = max(1, BLOCK_ROWS // max(1, batch))
+    return [
+        (slice(lo - start, min(lo + width, stop) - start), (lo, min(lo + width, stop)))
+        for lo in range(start, stop, width)
+    ]
+
+
+def _limit_blas_threads(n_threads: int) -> None:
+    """Cap every OpenBLAS loaded into this process at ``n_threads``.
+
+    A forked worker inherits BLAS sized for the whole machine, so K workers
+    each running that many threads oversubscribe the cores, and the small
+    per-block GEMMs then spend their time handing work between threads.
+    Environment variables no longer help once BLAS is loaded, so this calls
+    OpenBLAS's own setter.  Best effort: a platform without
+    ``/proc/self/maps`` or another BLAS vendor keeps its default.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (
+            "openblas_set_num_threads",
+            "openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads64_",
+        ):
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter(int(n_threads))
+                break
+
+
+def available_cores() -> int:
+    """CPU cores this process may run on (its affinity mask, where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
 def _worker_main(conn, init_blob: bytes) -> None:
     """Run one worker: receive steps over ``conn`` until told to stop.
 
     ``init_blob`` pickles a dict with the model, loss settings, the
     worker's id and the base seed — everything is imported lazily here so a
     spawn child only pays for what it uses.
+
+    A sensor shard is stepped in :func:`sensor_blocks`: per-sensor models
+    treat sensors independently, so each block's loss is backpropagated
+    seeded with its share ``c_b / c`` of the shard's finite targets and the
+    gradients accumulate into ``parameter.grad`` — the same finite-count
+    weighting the all-reduce applies across shards, one level down.
     """
     from ..core.loss import STWALoss
     from ..tensor import detect_anomaly, rng as rng_module, set_hooks
@@ -192,17 +268,23 @@ def _worker_main(conn, init_blob: bytes) -> None:
     set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
 
     init = pickle.loads(init_blob)
+    # one share of the cores per worker
+    _limit_blas_threads(max(1, available_cores() // int(init["n_workers"])))
     model = init["model"]
     worker_id = int(init["worker_id"])
     rng_module.reseed_module_generators(model, int(init["seed"]), worker_id)
     sensor_shard = init.get("sensor_shard")
-    if sensor_shard is not None:
-        model.set_sensor_shard(*sensor_shard)
     model.train()
     parameters = model.parameters()
     loss_fn = STWALoss(delta=init["huber_delta"], kl_weight=init["kl_weight"])
     kl_model = model if hasattr(model, "kl_divergence") else None
     screen = bool(init["detect_anomaly"])
+
+    def restore_shard() -> None:
+        if sensor_shard is not None:
+            model.set_sensor_shard(*sensor_shard)
+
+    restore_shard()
 
     while True:
         try:
@@ -217,10 +299,18 @@ def _worker_main(conn, init_blob: bytes) -> None:
                 if weights_blob is not None:
                     model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
                 model.eval()
+                forecast = None
                 try:
                     with tensor_core.inference_mode():
-                        forecast = model(tensor_core.Tensor(x_shard)).data
+                        for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
+                            if sensor_range is not None:
+                                model.set_sensor_shard(*sensor_range)
+                            block = model(tensor_core.Tensor(x_shard[:, columns])).data
+                            if forecast is None:
+                                forecast = np.empty(x_shard.shape[:2] + block.shape[2:])
+                            forecast[:, columns] = block
                 finally:
+                    restore_shard()
                     model.train()
                 conn.send(("ok", forecast))
             except Exception as error:  # noqa: BLE001 - full report crosses the pipe
@@ -233,17 +323,34 @@ def _worker_main(conn, init_blob: bytes) -> None:
                 model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
             for parameter in parameters:
                 parameter.zero_grad()
+            finite = np.isfinite(y_shard)
+            weight = float(finite.sum())
+            value = 0.0
             guard = detect_anomaly() if screen else nullcontext()
-            with guard:
-                prediction = model(tensor_core.Tensor(x_shard))
-                loss = loss_fn(prediction, tensor_core.Tensor(y_shard), model=kl_model)
-                value = float(loss.item())
-                # mirror the serial trainer: a non-finite loss is reported,
-                # not backpropagated — the parent raises the same error
-                if np.isfinite(value):
-                    loss.backward()
+            try:
+                with guard:
+                    for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
+                        if sensor_range is not None:
+                            model.set_sensor_shard(*sensor_range)
+                        prediction = model(tensor_core.Tensor(x_shard[:, columns]))
+                        loss = loss_fn(
+                            prediction, tensor_core.Tensor(y_shard[:, columns]), model=kl_model
+                        )
+                        block_value = float(loss.item())
+                        # mirror the serial trainer: a non-finite loss is
+                        # reported, not backpropagated — the parent raises
+                        # the same error
+                        if not np.isfinite(block_value):
+                            value = block_value
+                            break
+                        share = float(finite[:, columns].sum()) / weight if weight else 0.0
+                        value += share * block_value
+                        if share:
+                            loss.backward(np.float64(share))
+                        del prediction, loss  # free this block's graph first
+            finally:
+                restore_shard()
             grads = [None if p.grad is None else p.grad for p in parameters]
-            weight = float(np.isfinite(y_shard).sum())
             conn.send(
                 ("ok", value, weight, grads, time.perf_counter() - start)
             )
@@ -288,6 +395,7 @@ class WorkerPool:
             init = {
                 "model": model,
                 "worker_id": worker_id,
+                "n_workers": config.n_workers,
                 "seed": config.seed,
                 "huber_delta": huber_delta,
                 "kl_weight": kl_weight,

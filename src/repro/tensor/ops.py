@@ -587,7 +587,7 @@ def sigmoid(a: ArrayLike) -> Tensor:
 
 
 @_op(
-    lambda xs, st, out, tmp: np.multiply(xs[0], np.greater(xs[0], 0, out=tmp[0]), out=out),
+    lambda xs, st, out, tmp: np.maximum(xs[0], 0.0, out=out),
     (
         Adjoint(
             lambda g, y, xs, st, out, tmp: np.multiply(g, np.greater(xs[0], 0, out=tmp[0]), out=out),
@@ -596,10 +596,9 @@ def sigmoid(a: ArrayLike) -> Tensor:
         ),
     ),
     fusable=True,
-    tmp=(_B,),
 )
 def relu(a: ArrayLike) -> Tensor:
-    """Rectified linear unit."""
+    """Rectified linear unit: ``max(x, 0)``, with NaN passed through."""
     return (as_tensor(a),), None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import make_deterministic_st_wa
+from repro.core import SimSTForecaster, make_deterministic_st_wa
 from repro.core.loss import STWALoss
 from repro.data import WindowSpec
 from repro.data.windows import BatchIterator, SlidingWindowDataset
@@ -28,7 +28,8 @@ from repro.parallel import (
     default_start_method,
     shard_batch,
 )
-from repro.exec import ExecutorSpec
+from repro.parallel.engine import BLOCK_ROWS, sensor_blocks
+from repro.exec import ExecutorSpec, SerialExecutor, ShardedExecutor
 from repro.tensor import Tensor, reseed_module_generators, spawn_streams, worker_seed_sequence
 from repro.training import Trainer, TrainerConfig, dumps_state_dict, loads_state_dict
 
@@ -390,3 +391,166 @@ class TestTrainerEquivalence:
         )
         history = trainer.fit()
         assert np.isfinite(history.train_loss[0])
+
+
+# --------------------------------------------------------------------- #
+# sensor blocks: a worker steps its shard block by block, exactly
+# --------------------------------------------------------------------- #
+class TestSensorBlocks:
+    def test_blocks_tile_the_shard_contiguously(self):
+        width = BLOCK_ROWS // 16
+        blocks = sensor_blocks((100, 100 + 3 * width + 5), batch=16)
+        assert len(blocks) == 4
+        ranges = [sensor_range for _, sensor_range in blocks]
+        assert ranges[0][0] == 100 and ranges[-1][1] == 100 + 3 * width + 5
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert [stop - start for start, stop in ranges] == [width] * 3 + [5]
+        # the columns index the worker's local (B, stop - start) arrays
+        assert [(c.start, c.stop) for c, _ in blocks] == [
+            (start - 100, stop - 100) for start, stop in ranges
+        ]
+
+    def test_single_block_cases(self):
+        # a batch-axis shard: the whole shard, no sensor range to set
+        assert sensor_blocks(None, batch=16) == [(slice(None), None)]
+        # a slice smaller than one block
+        assert sensor_blocks((3, 9), batch=16) == [(slice(0, 6), (3, 9))]
+        # a batch wider than BLOCK_ROWS still steps one sensor at a time
+        assert len(sensor_blocks((0, 3), batch=BLOCK_ROWS * 2)) == 3
+
+
+BLOCK_BATCH = 16
+BLOCK_WIDTH = BLOCK_ROWS // BLOCK_BATCH
+#: two workers, each shard = three full blocks + a ragged 17-sensor block
+BLOCK_SENSORS = 2 * (3 * BLOCK_WIDTH + 17)
+
+
+def blocked_simst(seed: int = 3) -> SimSTForecaster:
+    adjacency = np.random.default_rng(seed).random((BLOCK_SENSORS, BLOCK_SENSORS))
+    return SimSTForecaster(
+        BLOCK_SENSORS,
+        adjacency,
+        history=4,
+        horizon=3,
+        hidden=8,
+        embedding_dim=4,
+        predictor_hidden=8,
+        num_neighbors=3,
+        seed=seed,
+    )
+
+
+@pytest.fixture(scope="module")
+def blocked_pair():
+    """A serial and a 2-worker sensor-sharded executor on equal weights."""
+    serial = SerialExecutor(blocked_simst()).open()
+    sharded = ShardedExecutor(blocked_simst(), n_workers=2).open()
+    yield serial, sharded
+    sharded.close()
+    serial.close()
+
+
+class TestBlockedShardWorkers:
+    """Sharded SimST with >= 3 blocks per worker matches serial to 1e-12."""
+
+    def draw(self, seed: int):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((BLOCK_BATCH, BLOCK_SENSORS, 4, 1))
+        y = rng.standard_normal((BLOCK_BATCH, BLOCK_SENSORS, 3, 1))
+        return x, y
+
+    def assert_step_matches(self, blocked_pair, x, y):
+        serial, sharded = blocked_pair
+        expected = serial.train_step(None, (x, y))
+        expected_grads = [None if g is None else g.copy() for g in expected.grads]
+        result = sharded.train_step(None, (x, y))
+        assert abs(result.loss - expected.loss) <= 1e-12
+        for left, right in zip(expected_grads, result.grads):
+            assert (left is None) == (right is None)
+            if left is not None:
+                np.testing.assert_allclose(right, left, rtol=0.0, atol=1e-12)
+        return result
+
+    def test_shards_split_into_ragged_blocks(self, blocked_pair):
+        _, sharded = blocked_pair
+        assert sharded.shard_axis == "sensor"
+        for shard in sharded.shard_ranges:
+            blocks = sensor_blocks(shard, BLOCK_BATCH)
+            assert len(blocks) >= 3
+            sizes = [stop - start for _, (start, stop) in blocks]
+            assert sizes[-1] < sizes[0]
+
+    def test_dense_targets_match_serial(self, blocked_pair):
+        x, y = self.draw(0)
+        result = self.assert_step_matches(blocked_pair, x, y)
+        assert result.stats["augment"] >= 0.0
+        assert {"serialize", "augment", "reduce", "worker0", "worker1"} <= set(result.stats)
+
+    def test_all_nan_block_matches_serial(self, blocked_pair):
+        x, y = self.draw(1)
+        rng = np.random.default_rng(11)
+        y = np.where(rng.random(y.shape) < 0.3, np.nan, y)
+        y[:, BLOCK_WIDTH : 2 * BLOCK_WIDTH] = np.nan  # worker 0's second block
+        self.assert_step_matches(blocked_pair, x, y)
+
+    def test_all_nan_shard_has_zero_weight(self, blocked_pair):
+        x, y = self.draw(2)
+        _, sharded = blocked_pair
+        start, stop = sharded.shard_ranges[1]
+        y[:, start:stop] = np.nan
+        result = self.assert_step_matches(blocked_pair, x, y)
+        assert np.isfinite(result.loss)
+
+    def test_non_finite_block_loss_raises(self, blocked_pair):
+        x, y = self.draw(3)
+        _, sharded = blocked_pair
+        x[:, 2 * BLOCK_WIDTH + 1] = np.inf  # poisons one block's forward
+        with pytest.raises(FloatingPointError):
+            sharded.train_step(None, (x, y))
+        # the pipes stayed in sync and the workers still step cleanly
+        self.assert_step_matches(blocked_pair, *self.draw(4))
+
+    def test_predict_after_train_step_matches_serial(self, blocked_pair):
+        serial, sharded = blocked_pair
+        x, y = self.draw(5)
+        sharded.train_step(None, (x, y))
+        np.testing.assert_allclose(
+            sharded.predict(None, x), serial.predict(None, x), rtol=0.0, atol=1e-12
+        )
+
+
+BLAS_CHECK = """
+import ctypes
+import numpy
+from repro.parallel.engine import _limit_blas_threads
+
+getters = []
+for path in {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}:
+    library = ctypes.CDLL(path)
+    for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads64_"):
+        if hasattr(library, symbol):
+            getters.append(getattr(library, symbol))
+_limit_blas_threads(1)
+print(sorted({getter() for getter in getters}))
+"""
+
+
+def test_worker_blas_threads_capped():
+    """Workers cap BLAS at their share of the cores, even after BLAS loaded."""
+    import os
+    import subprocess
+    import sys
+
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc/self/maps")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    result = subprocess.run(
+        [sys.executable, "-c", BLAS_CHECK], capture_output=True, text=True, timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    counts = result.stdout.strip()
+    if counts == "[]":
+        pytest.skip("NumPy is not linked against OpenBLAS here")
+    assert counts == "[1]"

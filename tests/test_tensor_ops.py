@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,20 @@ class TestActivations:
     def test_leaky_relu(self, rng):
         a = Tensor(rng.standard_normal((3, 4)) + 0.1, requires_grad=True)
         check_gradients(lambda x: ops.leaky_relu(x, 0.1), [a])
+
+    def test_relu_special_values(self):
+        x = np.array([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf, np.nan])
+        a = Tensor(x, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-value warning on -inf
+            out = ops.relu(a)
+        np.testing.assert_array_equal(
+            out.numpy(), [0.0, 0.0, 0.0, 0.0, 2.0, np.inf, np.nan]
+        )
+        assert not np.signbit(out.numpy()[:4]).any()  # +0.0, never -0.0
+        out.backward(np.full(x.shape, 3.0))
+        # the subgradient stays (x > 0): zero at 0, -0.0, -inf and NaN
+        np.testing.assert_array_equal(a.grad, [0.0, 0.0, 0.0, 0.0, 3.0, 3.0, 0.0])
 
     def test_sigmoid_extreme_values_stable(self):
         a = Tensor(np.array([-1000.0, 0.0, 1000.0]))
