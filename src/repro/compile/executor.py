@@ -17,7 +17,14 @@ forever.  Either way the caller sees the ordinary Executor contract.
 The interpreted path is also forced (per call, without touching the plan
 cache) whenever observation machinery is active — ``detect_anomaly``, an
 installed op-trace profiler hook, an enclosing anomaly context — because a
-replayed plan executes no traced ops and would blind those tools.
+replayed plan executes no traced ops and would blind those tools, and
+while any forward or pre-hook is registered on the model (reason
+``module_hooks``), because a replayed plan calls no module and would skip
+them.  Removing the hooks resumes replay.
+
+A training plan writes each parameter's gradient straight into the arena
+segment of the optimizer holding it (:func:`repro.optim.grad_segment`), so
+the optimizer step reads it without a copy.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from ..core.loss import STWALoss
 from ..exec.base import Batch, Executor, StepResult, Weights
 from ..exec.inference import InferenceExecutor
 from ..exec.serial import SerialExecutor
+from ..nn.module import hook_generation
 from ..tensor import Tensor, hooks, no_grad, set_hooks
 from .capture import CaptureRecorder
 from .cache import PlanCache
@@ -74,6 +82,8 @@ class CompiledExecutor(Executor):
         self._infer = InferenceExecutor(model, scaler=scaler, history=history)
         self.train_plans = PlanCache(plan_capacity)
         self.predict_plans = PlanCache(plan_capacity)
+        self._hook_generation = -1  # forces the first hook scan
+        self._hooked = False
         self.stats: Dict[str, object] = {
             "traces": 0,
             "replays": 0,
@@ -97,7 +107,7 @@ class CompiledExecutor(Executor):
     # fallback bookkeeping
     # ------------------------------------------------------------------ #
     def _forced_interpreted(self) -> Optional[str]:
-        """Reason the *observability* machinery forces the interpreted path."""
+        """Reason observability machinery or module hooks force the interpreted path."""
         if self.detect_anomaly:
             return "detect_anomaly"
         current = hooks()
@@ -107,6 +117,12 @@ class CompiledExecutor(Executor):
             return "anomaly_context"
         if current.capture is not None:
             return "nested_capture"
+        generation = hook_generation()
+        if generation != self._hook_generation:
+            self._hook_generation = generation
+            self._hooked = self.model.has_forward_hooks()
+        if self._hooked:
+            return "module_hooks"
         return None
 
     def _count_fallback(self, reason: str) -> None:

@@ -22,6 +22,23 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True, name=name)
 
 
+_hook_generation = 0
+
+
+def hook_generation() -> int:
+    """A counter bumped by every forward (pre-)hook registration or removal.
+
+    Lets a caller cache :meth:`Module.has_forward_hooks` until any module's
+    hooks next change.
+    """
+    return _hook_generation
+
+
+def _hooks_changed() -> None:
+    global _hook_generation
+    _hook_generation += 1
+
+
 class RemovableHandle:
     """Deregisters a hook when :meth:`remove` is called."""
 
@@ -33,7 +50,8 @@ class RemovableHandle:
         RemovableHandle._next_id += 1
 
     def remove(self) -> None:
-        self._registry.pop(self.id, None)
+        if self._registry.pop(self.id, None) is not None:
+            _hooks_changed()
 
 
 class Module:
@@ -163,6 +181,7 @@ class Module:
         """Call ``hook(module, args)`` before every forward of this module."""
         handle = RemovableHandle(self._forward_pre_hooks)
         self._forward_pre_hooks[handle.id] = hook
+        _hooks_changed()
         return handle
 
     def register_forward_hook(self, hook) -> RemovableHandle:
@@ -173,7 +192,15 @@ class Module:
         """
         handle = RemovableHandle(self._forward_hooks)
         self._forward_hooks[handle.id] = hook
+        _hooks_changed()
         return handle
+
+    def has_forward_hooks(self) -> bool:
+        """Whether this module or any descendant has a forward or pre-hook."""
+        return any(
+            module.__dict__.get("_forward_pre_hooks") or module.__dict__.get("_forward_hooks")
+            for _, module in self.named_modules()
+        )
 
     # ------------------------------------------------------------------ #
     # call protocol

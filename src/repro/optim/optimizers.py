@@ -10,6 +10,12 @@ array, when you need a snapshot.  Code that rebinds ``parameter.data``
 (``Module.load_state_dict``, a rollback, a perturbation) is fine: the next
 step copies the rebound value back into its segment and restores the view.
 
+The gradient buffer is laid out the same way, and :func:`grad_segment`
+hands a parameter's segment to whoever computes its gradient: a compiled
+plan (:mod:`repro.compile`) writes gradients straight into it, and a step
+then copies only the gradients that do not already live in their segment.
+A step never writes into a parameter's gradient.
+
 Both optimizers guard against non-finite gradients: a parameter whose
 gradient contains NaN/Inf is skipped for that step (its value and moments
 untouched), and the skip is counted in ``nonfinite_skips`` so the
@@ -22,6 +28,7 @@ never updated.
 from __future__ import annotations
 
 import math
+import weakref
 from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -29,12 +36,32 @@ import numpy as np
 
 from ..nn.module import Parameter
 
+#: live optimizers by the id of their flat value buffer (the base of every
+#: ``parameter.data`` they hold), for :func:`grad_segment`
+_ARENAS: "weakref.WeakValueDictionary[int, Optimizer]" = weakref.WeakValueDictionary()
+
+
+def grad_segment(parameter: Parameter) -> Optional[np.ndarray]:
+    """The arena gradient segment of the optimizer holding ``parameter``.
+
+    ``None`` when no live optimizer holds it (or ``parameter.data`` was
+    rebound away from its segment).  A gradient computed into this array
+    and left as ``parameter.grad`` is read by the next step without a copy.
+    """
+    owner = _ARENAS.get(id(parameter.data.base))
+    if owner is None:
+        return None
+    index = owner._index.get(id(parameter))
+    if index is None or owner._views[index] is not parameter.data:
+        return None
+    return owner._grad_views[index]
+
 
 class Optimizer:
     """Base class: the parameter list, its flat arena and the step skeleton.
 
-    A step gathers every gradient into the flat buffer, checks finiteness
-    once over it, runs the subclass's :meth:`_update` over the whole arena,
+    A step gathers every gradient into the flat buffer (a gradient that is
+    already its own segment stays put), checks finiteness once over it, runs the subclass's :meth:`_update` over the whole arena,
     and then restores the segments of skipped parameters (no gradient, or
     a non-finite one) from copies taken before the pass.
     """
@@ -60,6 +87,7 @@ class Optimizer:
         self._flat = np.empty(bounds[-1])
         self._grads = np.zeros(bounds[-1])
         self._scratch = np.empty(bounds[-1])
+        self._index = {id(parameter): index for index, parameter in enumerate(self.parameters)}
         self._views: List[np.ndarray] = []
         self._grad_views: List[np.ndarray] = []
         for parameter, segment in zip(self.parameters, self._segments):
@@ -70,13 +98,14 @@ class Optimizer:
             self._grad_views.append(self._grads[segment].reshape(view.shape))
         # indices whose state slots were never updated (``None`` in state_dict)
         self._idle = set(range(len(self.parameters)))
+        _ARENAS[id(self._flat)] = self
 
     def _state_buffers(self) -> Tuple[np.ndarray, ...]:
         """Flat per-element state a skipped parameter must keep (values first)."""
         return (self._flat,)
 
     def _update(self) -> None:
-        """One update over the whole arena, reading gradients from ``_grads``."""
+        """One update over the whole arena, reading (never writing) ``_grads``."""
         raise NotImplementedError
 
     def zero_grad(self) -> None:
@@ -102,9 +131,11 @@ class Optimizer:
     def _gather(self) -> List[int]:
         """Copy gradients into the flat buffer; return the skipped indices.
 
-        Re-adopts any parameter whose ``.data`` was rebound since the last
-        step.  Skipped segments of the gradient buffer are zeroed, so the
-        flat pass stays finite and warning-free.
+        A gradient that already is its segment (see :func:`grad_segment`)
+        is not copied.  Re-adopts any parameter whose ``.data`` was rebound
+        since the last step.  Skipped segments of the gradient buffer are
+        zeroed, so the flat pass stays finite and warning-free; a parameter
+        whose non-finite gradient lived in its segment keeps a copy of it.
         """
         skipped = []
         for index, (parameter, view, grad_view) in enumerate(
@@ -116,13 +147,15 @@ class Optimizer:
             if grad is None:
                 grad_view.fill(0.0)
                 skipped.append(index)
-            else:
+            elif grad is not grad_view:
                 np.copyto(grad_view, grad)
         # one check over the whole buffer; find the culprits only on a hit
         if not np.isfinite(self._grads).all():
-            for index, grad_view in enumerate(self._grad_views):
+            for index, (parameter, grad_view) in enumerate(zip(self.parameters, self._grad_views)):
                 if not np.isfinite(grad_view).all():
                     self.nonfinite_skips += 1
+                    if parameter.grad is grad_view:
+                        parameter.grad = grad_view.copy()
                     grad_view.fill(0.0)
                     skipped.append(index)
         return skipped
@@ -200,7 +233,7 @@ class SGD(Optimizer):
     def _update(self) -> None:
         grad, tmp = self._grads, self._scratch
         if self.weight_decay:
-            np.add(grad, np.multiply(self._flat, self.weight_decay, out=tmp), out=grad)
+            grad = np.add(grad, np.multiply(self._flat, self.weight_decay, out=tmp), out=tmp)
         if self.momentum:
             np.multiply(self._velocity, self.momentum, out=self._velocity)
             np.add(self._velocity, grad, out=self._velocity)
@@ -242,6 +275,7 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
+        self._scratch2 = np.empty_like(self._flat)
 
     def _state_buffers(self) -> Tuple[np.ndarray, ...]:
         return (self._flat, self._m, self._v)
@@ -252,15 +286,15 @@ class Adam(Optimizer):
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        grad, tmp, m, v = self._grads, self._scratch, self._m, self._v
+        grad, tmp, tmp2, m, v = self._grads, self._scratch, self._scratch2, self._m, self._v
         if self.weight_decay:
-            np.add(grad, np.multiply(self._flat, self.weight_decay, out=tmp), out=grad)
+            grad = np.add(grad, np.multiply(self._flat, self.weight_decay, out=tmp2), out=tmp2)
         np.add(np.multiply(m, self.beta1, out=m), np.multiply(grad, 1.0 - self.beta1, out=tmp), out=m)
         np.multiply(np.multiply(grad, 1.0 - self.beta2, out=tmp), grad, out=tmp)
         np.add(np.multiply(v, self.beta2, out=v), tmp, out=v)
         step = np.multiply(np.divide(m, bias1, out=tmp), self.lr, out=tmp)
-        # the gradient is consumed; its buffer holds sqrt(v_hat) + eps
-        denom = np.add(np.sqrt(np.divide(v, bias2, out=grad), out=grad), self.eps, out=grad)
+        # the gradient is consumed; the second scratch holds sqrt(v_hat) + eps
+        denom = np.add(np.sqrt(np.divide(v, bias2, out=tmp2), out=tmp2), self.eps, out=tmp2)
         np.subtract(self._flat, np.divide(step, denom, out=step), out=self._flat)
 
     def state_dict(self) -> Dict[str, object]:

@@ -21,6 +21,14 @@ deployment story.  One engine owns:
 Request lifecycle (see DESIGN.md "Serving"): cache lookup -> circuit check
 -> micro-batched model forward (bounded by ``deadline_ms``) -> cache fill
 -> metrics; any failure en route detours to the fallback forecast.
+
+Model forwards run on compiled plans by default
+(``ServeConfig.executor = ExecutorSpec.compiled()``): one plan per batch
+size, each validated against the interpreter when it is traced, with the
+interpreted path as the guarded fallback (and the only path while the
+model carries forward hooks).
+``ExecutorSpec.inference()`` serves through the artifact's
+``InferenceExecutor`` instead.
 """
 
 from __future__ import annotations
@@ -57,10 +65,10 @@ class ServeConfig:
     impute_method: str = "last"  # ring-buffer gap fill
     sink: Optional[MetricsSink] = None  # structured serve events (JSONL etc.)
     latency_capacity: int = 4096  # latency reservoir size
-    #: prediction backend: None -> the artifact's InferenceExecutor;
-    #: ExecutorSpec(kind="compiled") -> trace-once/replay-many plans
-    #: (repro.compile) with transparent inference_mode fallback
-    executor: Optional[ExecutorSpec] = None
+    #: prediction backend: compiled trace-once/replay-many plans
+    #: (repro.compile) with transparent interpreted fallback;
+    #: ExecutorSpec.inference() (or None) -> the artifact's InferenceExecutor
+    executor: Optional[ExecutorSpec] = ExecutorSpec.compiled()
 
 
 @dataclass
@@ -132,11 +140,11 @@ class ServingEngine:
         )
         self._observed = self.config.sink is not None
         # the batcher's forward runs through the repro.exec seam — by
-        # default the artifact's InferenceExecutor; ServeConfig.executor
-        # swaps in another prediction backend (e.g. kind="compiled")
-        if self.config.executor is not None:
-            spec = self.config.executor
-            if spec.kind not in ("inference", "compiled", "sharded"):
+        # default compiled plans, one per batch size; kind="inference"
+        # keeps the artifact's own InferenceExecutor
+        spec = self.config.executor
+        if spec is not None and spec.kind != "inference":
+            if spec.kind not in ("compiled", "sharded"):
                 raise ValueError(
                     "ServeConfig.executor must be an inference, compiled, or "
                     f"sharded spec, got kind={spec.kind!r}"

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import tensor as tensor_module
 from .tensor import ArrayLike, Tensor, as_tensor
+from .tensor import hooks as current_hooks
 
 Axis = Union[None, int, Tuple[int, ...]]
 
@@ -66,18 +67,23 @@ class Adjoint:
 
     ``accum(buf, g)`` folds the contribution into ``buf`` in one pass.
     ``scatter(buf, g, st)`` adds it into the operand's full-size gradient
-    buffer in place (index-style ops).  ``tmp`` declares the scratch
-    buffers ``fn`` takes (see :func:`scratch_shapes`).
+    buffer in place (index-style ops); ``assign(buf, g, st)``, when set,
+    writes the selected elements instead, which a plan uses when its
+    scatters write every element of a gradient exactly once.  ``tmp``
+    declares the scratch buffers ``fn`` takes (see :func:`scratch_shapes`).
     """
 
-    __slots__ = ("fn", "into", "view", "accum", "scatter", "tmp", "blank")
+    __slots__ = ("fn", "into", "view", "accum", "scatter", "assign", "tmp", "blank")
 
-    def __init__(self, fn=None, *, into=False, view=None, accum=None, scatter=None, tmp=()):
+    def __init__(
+        self, fn=None, *, into=False, view=None, accum=None, scatter=None, assign=None, tmp=()
+    ):
         self.fn = fn
         self.into = into
         self.view = view
         self.accum = accum
         self.scatter = scatter
+        self.assign = assign
         self.tmp = tmp
         self.blank = (None,) * len(tmp)
 
@@ -183,7 +189,7 @@ def _dispatch(rule: Rule, operands: tuple, st) -> Tensor:
     out = None if rule.out_shape is None else np.zeros(rule.out_shape(st))
     if tensor_module._state.inference_mode:
         return Tensor(rule.forward(xs, st, out, rule.blank))
-    hooks = tensor_module._hooks
+    hooks = current_hooks()
     if hooks.per_op:
         return _intercepted(rule, operands, st, xs, out, hooks)
     return _node(rule, operands, st, xs, rule.forward(xs, st, out, rule.blank))
@@ -246,7 +252,7 @@ def _intercepted(rule: Rule, operands: tuple, st, xs: tuple, out, hooks) -> Tens
 
 def _observed(name: str, inner, flops: float, nbytes: int, creation: Optional[str]):
     def backward(grad: np.ndarray) -> None:
-        hooks = tensor_module._hooks
+        hooks = current_hooks()
         if hooks.anomaly is not None:
             hooks.anomaly.check_grad(name, grad, creation)
         if hooks.trace is None:
@@ -270,7 +276,7 @@ def notify_host_input(value: np.ndarray, regen=None) -> np.ndarray:
     re-draws the value from the same generator so replay reproduces the
     serial RNG stream bit-exactly.
     """
-    capture = tensor_module._hooks.capture
+    capture = current_hooks().capture
     if capture is not None:
         capture.record_host_input(value, regen)
     return value
@@ -284,7 +290,7 @@ def notify_compile_unsupported(reason: str) -> None:
     trace dead so the executor permanently falls back to the interpreted
     path for this signature.
     """
-    capture = tensor_module._hooks.capture
+    capture = current_hooks().capture
     if capture is not None:
         capture.mark_unsupported(reason)
 
@@ -805,11 +811,16 @@ def _scatter_add(buf, g, index):
     buf[index] += g
 
 
+def _scatter_set(buf, g, index):
+    buf[index] = g
+
+
 def _scatter_add_at(buf, g, index):
     np.add.at(buf, index, g)
 
 
-_SCATTER_ADD = Adjoint(scatter=_scatter_add)
+#: duplicate-free index: adding into zeros is assigning
+_SCATTER_ADD = Adjoint(scatter=_scatter_add, assign=_scatter_set)
 _SCATTER_ADD_AT = Adjoint(scatter=_scatter_add_at)
 
 

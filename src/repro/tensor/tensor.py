@@ -20,6 +20,7 @@ CPU-bound either way, and float64 makes the numerical gradient checks in
 from __future__ import annotations
 
 import threading
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -131,10 +132,14 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...], out: Optional[np.ndarr
 
 
 class Hooks:
-    """The process's op interceptors: one immutable snapshot per install.
+    """The op interceptors of one context: one immutable snapshot per install.
 
     ``repro.tensor.ops._dispatch`` reads this state once per op call; with
-    nothing installed that read is the whole cost of interception.
+    nothing installed that read is the whole cost of interception.  The
+    state lives in a :class:`contextvars.ContextVar`, so it is scoped per
+    thread (a new thread starts with nothing installed): a profiler or a
+    compile capture in one thread neither sees another thread's ops nor
+    changes how that thread executes.
 
     * ``trace(name, phase, seconds, flops, nbytes)`` times every forward and
       backward op (installed by ``repro.obs.profile``);
@@ -161,30 +166,30 @@ class Hooks:
 
 
 _HOOK_NAMES = ("trace", "anomaly", "capture", "grad_alloc")
-_hooks = Hooks()
+_hooks: ContextVar[Hooks] = ContextVar("repro_tensor_hooks", default=Hooks())
 
 
 def hooks() -> Hooks:
-    """The interceptors installed right now."""
-    return _hooks
+    """The interceptors installed in the current context right now."""
+    return _hooks.get()
 
 
 def set_hooks(**changes) -> dict:
-    """Install (or clear, with ``None``) interceptors by name.
+    """Install (or clear, with ``None``) interceptors by name, in this context.
 
     Returns the previous values of exactly the named interceptors, so
     ``set_hooks(**previous)`` restores them — the pattern every context
     manager (``repro.obs.profile``, ``detect_anomaly``, compile capture)
     uses to nest.
     """
-    global _hooks
     unknown = set(changes) - set(_HOOK_NAMES)
     if unknown:
         raise TypeError(f"unknown hooks {sorted(unknown)}; expected some of {_HOOK_NAMES}")
-    previous = {name: getattr(_hooks, name) for name in changes}
-    fields = {name: getattr(_hooks, name) for name in _HOOK_NAMES}
+    current = _hooks.get()
+    previous = {name: getattr(current, name) for name in changes}
+    fields = {name: getattr(current, name) for name in _HOOK_NAMES}
     fields.update(changes)
-    _hooks = Hooks(**fields)
+    _hooks.set(Hooks(**fields))
     return previous
 
 
@@ -287,8 +292,9 @@ class Tensor:
             self.grad = grad
             return
         self.grad = grad.copy()
-        if _hooks.grad_alloc is not None:
-            _hooks.grad_alloc(self.grad.nbytes)
+        grad_alloc = _hooks.get().grad_alloc
+        if grad_alloc is not None:
+            grad_alloc(self.grad.nbytes)
 
     def _grad_buffer(self) -> np.ndarray:
         """Return :attr:`grad`, zero-filling it first if unset.
@@ -300,8 +306,9 @@ class Tensor:
         buf = self.grad
         if buf is None:
             buf = self.grad = np.zeros(self.data.shape)
-            if _hooks.grad_alloc is not None:
-                _hooks.grad_alloc(buf.nbytes)
+            grad_alloc = _hooks.get().grad_alloc
+            if grad_alloc is not None:
+                grad_alloc(buf.nbytes)
         return buf
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:

@@ -20,20 +20,25 @@ Four invariants, mirroring DESIGN.md "Compiled execution":
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.baselines.registry import BuildSpec, build_from_spec
 from repro.compile import CompiledExecutor, PlanCache
+from repro.compile.capture import CaptureRecorder
+from repro.compile.plan import lower_training_plan
 from repro.core import make_deterministic_st_wa, make_st_wa
-from repro.data import WindowSpec
+from repro.data import WindowSpec, load_dataset
 from repro.data.scalers import StandardScaler
 from repro.data.windows import BatchIterator, SlidingWindowDataset
 from repro.exec import ExecutorSpec, SerialExecutor
 from repro.nn import Module, Parameter
 from repro.obs import ListSink
-from repro.optim import Adam, clip_grad_norm
+from repro.optim import SGD, Adam, clip_grad_norm, grad_segment
 from repro.serve import ForecasterArtifact, ServeConfig, ServingEngine
-from repro.tensor import Tensor, ops, set_hooks
+from repro.tensor import Tensor, hooks, ops, set_hooks
 from repro.tensor.gradcheck import numerical_gradient
 from repro.training import Trainer, TrainerConfig
 
@@ -251,6 +256,224 @@ class TestFallback:
             executor.train_step(None, (x, y))  # hook gone: replay resumes
             assert executor.stats["replays"] == replays + 1
 
+    def test_module_hook_forces_interpreted_then_replay_resumes(self, tiny_dataset):
+        """A replayed plan calls no module, so hooks would silently be skipped."""
+        model = small_model(tiny_dataset.num_sensors)
+        (x, y), = seeded_batches(tiny_dataset, 1)
+        calls = []
+        with CompiledExecutor(model, history=12) as executor:
+            executor.train_step(None, (x, y))
+            executor.predict(None, x)
+            replays = executor.stats["replays"]
+            handle = model.register_forward_hook(lambda module, args, out: calls.append(1))
+            try:
+                executor.train_step(None, (x, y))
+                executor.predict(None, x)
+            finally:
+                handle.remove()
+            assert calls == [1, 1]  # the hook ran on both interpreted calls
+            assert executor.stats["fallback_reasons"]["module_hooks"] == 2
+            assert executor.stats["replays"] == replays
+            executor.train_step(None, (x, y))
+            executor.predict(None, x)
+            assert executor.stats["replays"] == replays + 2
+
+    def test_interceptors_in_another_thread_stay_there(self, tiny_dataset):
+        """A capture and a trace hook held by one thread are invisible to another."""
+        model = small_model(tiny_dataset.num_sensors)
+        (x, y), = seeded_batches(tiny_dataset, 1)
+        recorder, traced = CaptureRecorder(), []
+        installed, release = threading.Event(), threading.Event()
+
+        def hold_interceptors():
+            restore = set_hooks(capture=recorder, trace=lambda name, *rest: traced.append(name))
+            try:
+                installed.set()
+                release.wait(timeout=10.0)
+                ops.tanh(Tensor(np.ones(3)))  # this thread's own op
+            finally:
+                set_hooks(**restore)
+
+        with CompiledExecutor(model) as executor:
+            executor.train_step(None, (x, y))
+            worker = threading.Thread(target=hold_interceptors, daemon=True)
+            worker.start()
+            try:
+                assert installed.wait(timeout=10.0)
+                assert hooks().capture is None and hooks().trace is None
+                result = executor.train_step(None, (x, y))
+                serial = SerialExecutor(model).open().train_step(None, (x, y))
+            finally:
+                release.set()
+                worker.join(timeout=10.0)
+            assert result.stats["executor"] == "compiled"
+            assert executor.stats["fallback_steps"] == 0
+        assert np.isfinite(serial.loss)
+        assert [record.name for record in recorder.records] == ["tanh"]
+        assert traced == ["tanh"]
+
+
+# --------------------------------------------------------------------- #
+# gradients written into the optimizer arena; views taken at build time
+# --------------------------------------------------------------------- #
+class TestArenaGradients:
+    def test_replayed_gradients_are_the_arena_segments(self, tiny_dataset):
+        model = small_model(tiny_dataset.num_sensors)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        (x, y), = seeded_batches(tiny_dataset, 1)
+        with CompiledExecutor(model) as executor:
+            executor.train_step(None, (x, y))
+            result = executor.train_step(None, (x, y))
+        trained = [p for p, grad in zip(model.parameters(), result.grads) if grad is not None]
+        assert trained
+        assert all(p.grad is grad_segment(p) for p in trained)
+        assert all(p.grad.base is optimizer._grads for p in trained)
+
+    @pytest.mark.parametrize(
+        "make_optimizer",
+        [
+            lambda params: Adam(params, lr=1e-3, weight_decay=1e-2),
+            lambda params: SGD(params, lr=1e-2, momentum=0.9, weight_decay=1e-2),
+        ],
+        ids=["adam", "sgd"],
+    )
+    def test_optimizer_step_leaves_parameter_grads_unchanged(self, tiny_dataset, make_optimizer):
+        model = small_model(tiny_dataset.num_sensors)
+        optimizer = make_optimizer(model.parameters())
+        with CompiledExecutor(model) as executor:
+            for batch in seeded_batches(tiny_dataset, 3):
+                executor.train_step(None, batch)
+                params = [p for p in model.parameters() if p.grad is not None]
+                before = [p.grad.copy() for p in params]
+                optimizer.step()
+                for p, expected in zip(params, before):
+                    assert p.grad is grad_segment(p)
+                    assert (p.grad == expected).all()
+
+    def test_replay_after_load_state_dict_matches_interpreted(self, tiny_dataset):
+        model = small_model(tiny_dataset.num_sensors, seed=0)
+        other = small_model(tiny_dataset.num_sensors, seed=1)
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        (x, y), = seeded_batches(tiny_dataset, 1)
+        with CompiledExecutor(model) as executor:
+            executor.train_step(None, (x, y))
+            replays = executor.stats["replays"]
+            model.load_state_dict(other.state_dict())
+            compiled = executor.train_step(None, (x, y))
+            assert executor.stats["replays"] == replays + 1
+        with SerialExecutor(other) as serial:
+            assert_step_matches(serial.train_step(None, (x, y)), compiled)
+        optimizer.step()  # re-adopts the rebound values into the arena
+        for p, q in zip(model.parameters(), other.parameters()):
+            assert p.data is not q.data and np.isfinite(p.data).all()
+
+    def test_optimizer_built_after_the_plan_steps_correctly(self, tiny_dataset):
+        """Resume order: the plan exists before the optimizer that steps it."""
+        batches = seeded_batches(tiny_dataset, 4)
+        compiled_model = small_model(tiny_dataset.num_sensors)
+        serial_model = small_model(tiny_dataset.num_sensors)
+        with CompiledExecutor(compiled_model) as compiled_exec, SerialExecutor(
+            serial_model
+        ) as serial_exec:
+            compiled_exec.train_step(None, batches[0])
+            serial_exec.train_step(None, batches[0])
+            compiled_opt = Adam(compiled_model.parameters(), lr=1e-2)
+            serial_opt = Adam(serial_model.parameters(), lr=1e-2)
+            compiled_opt.step()
+            serial_opt.step()
+            for batch in batches[1:]:
+                compiled = compiled_exec.train_step(None, batch)
+                assert compiled.stats["executor"] == "compiled"
+                assert_step_matches(serial_exec.train_step(None, batch), compiled)
+                compiled_opt.step()
+                serial_opt.step()
+        for left, right in zip(serial_model.parameters(), compiled_model.parameters()):
+            np.testing.assert_allclose(right.data, left.data, rtol=RTOL, atol=ATOL)
+
+    def test_rebound_parameter_views_are_retaken_or_refused(self):
+        weight = Parameter(np.arange(12.0).reshape(3, 4))
+        scale = np.linspace(0.5, 1.5, 12)
+        recorder = CaptureRecorder()
+        recorder.register_params([weight])
+        restore = set_hooks(capture=recorder)
+        try:
+            loss = ops.sum(ops.mul(ops.reshape(weight, (12,)), scale))
+            loss.backward()
+        finally:
+            set_hooks(**restore)
+        plan = lower_training_plan(recorder, loss)
+        assert plan.stats["fixed_views"] == 1
+        weight.data = 2.0 * weight.data  # rebound: the view is taken again
+        for factor in (1.0, 3.0):
+            weight.data *= factor  # in place: the view sees it
+            expected = float((weight.data.reshape(12) * scale).sum())
+            assert float(plan.run_forward({})) == pytest.approx(expected, rel=1e-12)
+        # a Fortran-ordered value makes the reshape a copy the plan would
+        # replay stale, so every replay refuses until a C-order array is bound
+        weight.data = np.asfortranarray(weight.data)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                plan.run_forward({})
+        weight.data = np.ascontiguousarray(weight.data)
+        assert float(plan.run_forward({})) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "pieces",
+        [
+            [(slice(None), slice(0, 3)), (slice(None), slice(3, 5))],  # cover: assigned
+            [(0,), (1,), (2,)],  # cover by integer rows: assigned
+            [(slice(None), slice(0, 3)), (slice(None), slice(2, 5))],  # overlap: accumulated
+            [(slice(None), slice(1, 3))],  # partial: accumulated into zeros
+        ],
+        ids=["columns", "rows", "overlap", "partial"],
+    )
+    def test_index_scatter_gradients_survive_a_poisoned_buffer(self, pieces):
+        """Each replay must rewrite every gradient element it owns."""
+        rng = np.random.default_rng(4)
+        weight = Parameter(rng.standard_normal((3, 5)))  # reached only by indexing
+        other = Parameter(rng.standard_normal((3, 5)))
+        params = [weight, other]
+        recorder = CaptureRecorder()
+        recorder.register_params(params)
+        restore = set_hooks(capture=recorder)
+        try:
+            hidden = ops.tanh(ops.mul(other, 1.5))  # an op output reached only by indexing
+            terms = [
+                ops.sum(ops.mul(ops.getitem(source, piece), rng.uniform(0.5, 1.5)))
+                for piece in pieces
+                for source in (weight, hidden)
+            ]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ops.add(loss, term)
+            loss.backward()
+        finally:
+            set_hooks(**restore)
+        expected = [p.grad.copy() for p in params]
+        plan = lower_training_plan(recorder, loss)
+        for _ in range(2):
+            plan.run_forward({})
+            plan.run_adjoint()
+            plan.export_grads()
+            for p, grad in zip(params, expected):
+                np.testing.assert_allclose(p.grad, grad, rtol=RTOL, atol=ATOL)
+                p.grad.fill(np.nan)  # what an interpreted fallback's copy could leave
+
+    def test_st_wa_batch1_training_plan_numpy_calls(self):
+        """Pins the replayed program's size (740 NumPy calls when every view
+        was taken again per replay and every gradient view copied)."""
+        dataset = load_dataset("PEMS08", "fast")
+        model = build_from_spec(
+            "st-wa", BuildSpec(dataset=dataset, history=12, horizon=12, seed=7)
+        )
+        (x, y), = seeded_batches(dataset, 1, batch_size=1)
+        with CompiledExecutor(model, kl_weight=0.02) as executor:
+            executor.train_step(None, (x, y))
+            (plan,) = executor.train_plans.live_plans()
+        assert plan.stats["numpy_calls"] == 604
+        assert plan.stats["fixed_views"] == 57
+        assert plan.stats["aliased_grads"] == 72
+
 
 # --------------------------------------------------------------------- #
 # adjoint correctness: compiled gradients vs finite differences
@@ -429,7 +652,8 @@ class TestServing:
     def test_compiled_engine_matches_inference_and_stamps_kind(self):
         artifact, window = _gru_artifact()
         sink = ListSink()
-        with ServingEngine(artifact, num_sensors=4) as engine:
+        interpreted = ServeConfig(executor=ExecutorSpec.inference())
+        with ServingEngine(artifact, num_sensors=4, config=interpreted) as engine:
             expected = engine.forecast(window)
         config = ServeConfig(executor=ExecutorSpec.compiled(), sink=sink)
         with ServingEngine(artifact, num_sensors=4, config=config) as engine:

@@ -15,6 +15,7 @@ from repro.optim import (
     EarlyStopping,
     StepLR,
     clip_grad_norm,
+    grad_segment,
 )
 from repro.tensor import Tensor, functional as F
 
@@ -308,6 +309,52 @@ class TestArenaOracle:
         opt.step()
         assert w.data is held
         np.testing.assert_array_equal(held, [-0.5, -0.5, -0.5])
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("in_segment", [False, True], ids=["own-array", "arena-segment"])
+    def test_step_never_writes_parameter_grads(self, st_wa_values, case, in_segment):
+        arena_cls, reference_cls, kwargs = ORACLE_CASES[case]
+        params = [nn.Parameter(value.copy()) for value in st_wa_values[:6]]
+        opt = arena_cls(params, **kwargs)
+        reference = reference_cls(st_wa_values[:6], **kwargs)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            for parameter, grad in zip(params, grads):
+                if in_segment:  # where a compiled plan writes it
+                    parameter.grad = grad_segment(parameter)
+                    parameter.grad[...] = grad
+                else:
+                    parameter.grad = grad.copy()
+            opt.step()
+            reference.step(grads)
+            for parameter, grad, expected in zip(params, grads, reference.values):
+                assert (parameter.grad == grad).all()
+                assert (parameter.grad is grad_segment(parameter)) == in_segment
+                assert (parameter.data == expected).all()
+
+    def test_nonfinite_segment_gradient_is_kept_by_the_parameter(self):
+        w = nn.Parameter(np.zeros(3))
+        opt = Adam([w])
+        w.grad = grad_segment(w)
+        w.grad[...] = [1.0, np.nan, 2.0]
+        opt.step()
+        assert opt.nonfinite_skips == 1
+        assert (w.data == 0.0).all()
+        np.testing.assert_array_equal(w.grad, [1.0, np.nan, 2.0])
+        assert w.grad is not grad_segment(w)
+
+    def test_grad_segment_needs_a_live_optimizer(self):
+        w = nn.Parameter(np.zeros(3))
+        assert grad_segment(w) is None
+        opt = SGD([w], lr=0.1)
+        assert grad_segment(w).shape == (3,)
+        w.data = np.ones(3)  # rebound away from the arena until the next step
+        assert grad_segment(w) is None
+        opt.step()
+        assert grad_segment(w) is not None
+        del opt
+        assert grad_segment(w) is None
 
     def test_load_state_dict_validates_slots(self):
         w = nn.Parameter(np.zeros(3))

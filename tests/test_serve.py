@@ -13,6 +13,7 @@ from repro.baselines import GRUForecaster
 from repro.baselines.classical import PersistenceForecaster
 from repro.data import WindowSpec
 from repro.data.scalers import StandardScaler
+from repro.exec import ExecutorSpec
 from repro.obs import ListSink
 from repro.resilience import CircuitBreaker
 from repro.serve import (
@@ -651,9 +652,9 @@ class TestServingEngine:
     def test_slo_report_stamped_with_artifact_identity(self, rng):
         artifact = make_artifact()
         artifact.metadata["registry"] = {"model_id": "city-a", "version": 4}
-        with ServingEngine(
-            artifact, num_sensors=4, config=ServeConfig(max_wait_ms=0.5)
-        ) as engine:
+        # pins the interpreted backend's stamp, so it asks for that backend
+        config = ServeConfig(max_wait_ms=0.5, executor=ExecutorSpec.inference())
+        with ServingEngine(artifact, num_sensors=4, config=config) as engine:
             for _ in range(HISTORY):
                 engine.ingest(100.0 + 20.0 * rng.standard_normal(4))
             engine.forecast()
@@ -696,6 +697,47 @@ class TestServingEngine:
         finally:
             primary.close()
             shadow.close()
+
+    def test_default_engine_serves_compiled_plans(self, rng):
+        artifact = make_artifact(
+            GRUForecaster(HISTORY, HORIZON, hidden_size=4, predictor_hidden=8, seed=0)
+        )
+        windows = [raw_window(rng) for _ in range(3)]
+        with ServingEngine(artifact, num_sensors=4) as engine:
+            results = [engine.forecast(window) for window in windows]
+            snapshot = engine.snapshot()
+            stats = engine._model_executor.stats
+        assert snapshot["executor_kind"] == engine.executor_kind == "compiled"
+        assert stats["replays"] >= 2 and stats["fallback_steps"] == 0
+        for window, result in zip(windows, results):
+            assert result.source == "model"
+            np.testing.assert_allclose(
+                result.forecast, artifact.predict(window), rtol=1e-9, atol=1e-9
+            )
+
+    def test_forward_hook_forces_interpreted_serving_until_removed(self, rng):
+        """A raising pre-hook must fault a warm compiled engine, then let go."""
+        artifact = make_artifact(
+            GRUForecaster(HISTORY, HORIZON, hidden_size=4, predictor_hidden=8, seed=0)
+        )
+        config = ServeConfig(max_wait_ms=0.5, cooldown_s=0.0, failure_threshold=100)
+        with ServingEngine(artifact, num_sensors=4, config=config) as engine:
+            assert engine.forecast(raw_window(rng)).source == "model"  # plan traced
+            assert engine.forecast(raw_window(rng)).source == "model"  # plan replayed
+            handle = artifact.model.register_forward_pre_hook(
+                lambda module, args: (_ for _ in ()).throw(RuntimeError("fault drill"))
+            )
+            try:
+                faulted = [engine.forecast(raw_window(rng)) for _ in range(4)]
+            finally:
+                handle.remove()
+            recovered = engine.forecast(raw_window(rng))
+            stats = engine._model_executor.stats
+        assert all(r.source != "model" for r in faulted)
+        assert all("fault drill" in r.reason for r in faulted)
+        assert stats["fallback_reasons"]["module_hooks"] == 4
+        assert recovered.source == "model"
+        assert stats["replays"] >= 2
 
     def test_shared_store_shape_mismatch_is_rejected(self):
         store = StreamStateStore(num_sensors=3, window=HISTORY)
