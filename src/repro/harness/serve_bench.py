@@ -19,7 +19,9 @@ engine end to end and writes ``<out>/serve_bench.json``:
 4. **Load phase** — replay the test split as a live stream into a
    :class:`repro.serve.ServingEngine` while concurrent client threads
    request forecasts: micro-batch coalescing, cache hits on repeated
-   queries, invalidation on every ingest.
+   queries, invalidation on every ingest.  The report carries the phase's
+   batch-size histogram and the batcher's linger outcomes, which show that
+   concurrent load still coalesces.
 5. **Fault drill** — a forward pre-hook makes the model raise; requests
    must degrade to the persistence fallback, the circuit breaker must open,
    and service must recover once the fault clears.
@@ -218,6 +220,8 @@ def _load_phase(
         "requests": int(sum(sources.values())),
         "sources": sources,
         "batches_run": engine.batcher.batches_run,
+        "batch_size_histogram": engine.stats.batch_sizes.histogram(),
+        "linger": engine.stats.linger_summary(),
     }
 
 
@@ -351,6 +355,13 @@ def run(
             "PASS" if cache_hit_rate > 0 else "FAIL",
             f"{load['requests']} req, {load['batches_run']} batches, "
             f"hit rate {fmt(cache_hit_rate)}",
+        ],
+        [
+            "batcher",
+            "INFO",
+            f"load batch sizes {load['batch_size_histogram']}; lingered "
+            f"{load['linger']['lingered']} ({load['linger']['with_company']} in company), "
+            f"at once {load['linger']['at_once']}",
         ],
         [
             "latency",

@@ -9,7 +9,8 @@
 * :class:`StreamStateStore` — per-sensor ring buffers of the last W
   observations, with online imputation of gaps at read time.
 * :class:`MicroBatcher` — coalesces concurrent requests into one batched
-  forward (bounded batch size and linger time).
+  forward (bounded batch size; lingers for companions, up to a bound, only
+  while callers have been seen to be concurrent).
 * :class:`PredictionCache` — TTL/LRU cache keyed on (model id, window
   fingerprint, horizon), invalidated whenever new observations arrive.
 * :class:`ServingEngine` — the request path wiring all of the above plus a

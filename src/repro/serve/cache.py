@@ -13,7 +13,8 @@ expire two ways:
   every ingest) drops entries computed from older state.
 
 Capacity is bounded with LRU eviction.  The clock is injectable so tests
-control time.
+control time.  Entries are private read-only copies: a caller that writes
+into a served forecast gets an error instead of corrupting later hits.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ class PredictionCache:
             return value
 
     def put(self, key: CacheKey, value: np.ndarray, data_version: int = 0) -> None:
-        """Insert a forecast computed from state store ``data_version``."""
+        """Insert a read-only copy of a forecast computed from ``data_version``."""
+        value = np.array(value)
+        value.setflags(write=False)
         with self._lock:
             self._entries[key] = (value, self._clock(), int(data_version))
             self._entries.move_to_end(key)

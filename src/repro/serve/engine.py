@@ -56,7 +56,7 @@ class ServeConfig:
     """Knobs of the online request path."""
 
     max_batch_size: int = 16  # micro-batcher coalescing limit
-    max_wait_ms: float = 2.0  # linger after the first queued request
+    max_wait_ms: float = 2.0  # upper bound on the linger (see repro.serve.batcher)
     cache_ttl_s: float = 30.0  # prediction staleness bound
     cache_capacity: int = 256
     deadline_ms: Optional[float] = 1000.0  # per-request budget; overrun -> fallback
@@ -267,6 +267,8 @@ class ServingEngine:
                 reason=f"{type(error).__name__}: {error}",
             )
         self.circuit.record_success()
+        # the cache filler copies this same array, possibly after we return
+        forecast.setflags(write=False)
         return self._finish(forecast, "model", start, batched=True)
 
     def _make_cache_filler(self, key, data_version):
@@ -314,9 +316,12 @@ class ServingEngine:
             forecast=forecast, source=source, latency_s=latency, reason=reason, batched=batched
         )
 
-    def _record_batch(self, batch_size: int, queue_depth: int, wait_seconds: float) -> None:
+    def _record_batch(
+        self, batch_size: int, queue_depth: int, wait_seconds: float, linger: str
+    ) -> None:
         self.stats.batch_sizes.record(batch_size)
         self.stats.queue_depths.record(queue_depth)
+        self.stats.linger_outcomes[linger] += 1
         if self._observed:
             self.sink.emit(
                 {
@@ -324,6 +329,7 @@ class ServingEngine:
                     "batch_size": batch_size,
                     "queue_depth": queue_depth,
                     "wait_ms": 1e3 * wait_seconds,
+                    "linger": linger,
                 }
             )
 

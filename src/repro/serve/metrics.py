@@ -8,6 +8,8 @@ aggregates rather than full traces:
   quantiles over the retained window (p50/p95/p99 for the SLO check).
 * :class:`Distribution` — count/mean/max of an integer-valued stream
   (batch sizes, queue depths).
+* per-batch linger outcomes of the micro-batcher
+  (:data:`repro.serve.batcher.LINGER_OUTCOMES`).
 * :class:`ServingStats` — the engine's aggregate bundle, rendered by
   :meth:`ServingStats.snapshot` into the flat dict that lands in
   ``results/serve_bench.json`` and in ``stats`` events on the
@@ -19,6 +21,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
+
+from .batcher import LINGER_OUTCOMES
 
 #: quantiles every latency summary reports, in SLO-speak
 QUANTILES = {"p50": 0.50, "p95": 0.95, "p99": 0.99}
@@ -121,6 +125,7 @@ class ServingStats:
         self.latency = LatencyHistogram(latency_capacity)
         self.batch_sizes = Distribution()
         self.queue_depths = Distribution()
+        self.linger_outcomes: Dict[str, int] = dict.fromkeys(LINGER_OUTCOMES, 0)
         self.cache_hits = 0
         self.cache_misses = 0
         self.fallbacks = 0
@@ -147,6 +152,15 @@ class ServingStats:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
+    def linger_summary(self) -> Dict[str, int]:
+        """Batches that lingered, lingers left in company, batches sent at once."""
+        outcomes = self.linger_outcomes
+        return {
+            "lingered": outcomes["alone"] + outcomes["company"],
+            "with_company": outcomes["company"],
+            "at_once": outcomes["at_once"],
+        }
+
     def snapshot(self) -> Dict[str, object]:
         """Flat JSON-serializable summary (the ``stats`` event payload)."""
         return {
@@ -155,6 +169,7 @@ class ServingStats:
             "latency": self.latency.summary(),
             "batch_size": self.batch_sizes.summary(),
             "queue_depth": self.queue_depths.summary(),
+            "linger": self.linger_summary(),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_hit_rate": self.cache_hit_rate,

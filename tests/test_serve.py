@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -275,6 +276,18 @@ class TestPredictionCache:
         assert cache.get(keys[0]) is not None
         assert cache.get(keys[1]) is None
 
+    def test_put_stores_a_private_read_only_copy(self, rng):
+        cache = PredictionCache()
+        key = cache.make_key("m", raw_window(rng), HORIZON)
+        value = np.ones(3)
+        cache.put(key, value)
+        value[0] = 99.0  # the filler's array is not the cached one
+        hit = cache.get(key)
+        np.testing.assert_array_equal(hit, np.ones(3))
+        with pytest.raises(ValueError, match="read-only"):
+            hit[0] = 99.0
+        np.testing.assert_array_equal(cache.get(key), np.ones(3))
+
     def test_fingerprint_sensitive_to_every_element(self, rng):
         window = raw_window(rng)
         bumped = window.copy()
@@ -317,6 +330,27 @@ class TestMicroBatcher:
             futures = [batcher.submit(w) for w in windows]
             for window, future in zip(windows, futures):
                 np.testing.assert_array_equal(future.result(timeout=5.0), window + 1.0)
+
+    def test_wait_excludes_idle_time_before_submit(self, rng):
+        waits = []
+        with MicroBatcher(
+            lambda batch: batch, max_wait_s=0.0, on_batch=lambda *args: waits.append(args[2])
+        ) as batcher:
+            time.sleep(0.1)  # idle: nothing queued
+            batcher.submit(raw_window(rng)).result(timeout=5.0)
+        assert len(waits) == 1 and waits[0] < 0.02
+
+    def test_fruitless_linger_turns_lingering_off(self, rng):
+        outcomes = []
+        with MicroBatcher(
+            lambda batch: batch, max_wait_s=0.5, on_batch=lambda *args: outcomes.append(args[3])
+        ) as batcher:
+            batcher.submit(raw_window(rng)).result(timeout=5.0)  # lingers alone
+            start = time.perf_counter()
+            batcher.submit(raw_window(rng)).result(timeout=5.0)
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.1
+        assert outcomes == ["alone", "at_once"]
 
     def test_forward_error_fails_all_requests(self, rng):
         def broken(batch):
@@ -738,6 +772,59 @@ class TestServingEngine:
         assert stats["fallback_reasons"]["module_hooks"] == 4
         assert recovered.source == "model"
         assert stats["replays"] >= 2
+
+    def test_served_forecasts_are_read_only_on_both_paths(self, rng):
+        with make_engine(rng) as engine:
+            model = engine.forecast()
+            hit = engine.forecast()  # the fill has landed once this hits
+            assert (model.source, hit.source) == ("model", "cache")
+            assert not np.shares_memory(model.forecast, hit.forecast)
+            for result in (model, hit):
+                with pytest.raises(ValueError, match="read-only"):
+                    result.forecast[0, 0, 0] = 99.0
+            again = engine.forecast()
+        np.testing.assert_array_equal(again.forecast, model.forecast)
+
+    def test_requests_queued_behind_a_busy_forward_turn_lingering_on(self, rng):
+        entered, release = threading.Event(), threading.Event()
+        with make_engine(rng, max_wait_ms=50.0) as engine:
+            original = engine.batcher.forward
+
+            def blocking(batch):
+                entered.set()
+                release.wait(timeout=5.0)
+                return original(batch)
+
+            engine.batcher.submit(raw_window(rng)).result(timeout=5.0)  # alone: off
+            engine.batcher.forward = blocking
+            first = engine.batcher.submit(raw_window(rng))  # dispatched at once
+            assert entered.wait(timeout=5.0)
+            queued = [engine.batcher.submit(raw_window(rng)) for _ in range(2)]
+            release.set()
+            for future in [first] + queued:
+                future.result(timeout=5.0)
+            linger = engine.snapshot()["linger"]
+            histogram = engine.stats.batch_sizes.histogram()
+        assert linger == {"lingered": 2, "with_company": 1, "at_once": 1}
+        assert histogram == {"1": 2, "2": 1}
+
+    def test_concurrent_misses_on_one_window_coalesce(self, rng):
+        clients = 4
+        config = ServeConfig(max_batch_size=clients, max_wait_ms=200.0)
+        with ServingEngine(make_artifact(), num_sensors=4, config=config) as engine:
+            for _ in range(HISTORY):
+                engine.ingest(100.0 + 20.0 * rng.standard_normal(4))
+            start = threading.Barrier(clients)
+
+            def client(_):
+                start.wait(timeout=5.0)
+                return engine.forecast()
+
+            with ThreadPoolExecutor(max_workers=clients) as pool:
+                results = list(pool.map(client, range(clients)))
+        served_by_model = sum(r.source == "model" for r in results)
+        assert served_by_model >= 2
+        assert engine.batcher.batches_run < served_by_model
 
     def test_shared_store_shape_mismatch_is_rejected(self):
         store = StreamStateStore(num_sensors=3, window=HISTORY)
