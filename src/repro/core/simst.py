@@ -25,12 +25,14 @@ Sensor sharding
 ---------------
 Because sensors only interact through the input-side aggregation, the model
 declares ``sensor_shardable = True``: :class:`repro.exec.ShardedExecutor`
-computes :meth:`SimSTForecaster.augment` on the full network in the parent,
-splits the augmented batch along the sensor axis, and runs each contiguous
-shard on a worker that has called :meth:`set_sensor_shard` so the embedding
-lookup indexes the right rows.  The sharded loss/gradient recombine exactly
-(see DESIGN.md §15): shared weights receive the finite-target-weighted mean
-of shard gradients, and embedding rows are touched by exactly one shard.
+hands every worker the raw batch, and each worker calls
+:meth:`SimSTForecaster.augment` with its own ``sensors=(start, stop)``
+range (the aggregate reads the full network; the output holds only the
+worker's rows), then runs that contiguous shard with
+:meth:`set_sensor_shard` so the embedding lookup indexes the right rows.
+The sharded loss/gradient recombine exactly (see DESIGN.md §15): shared
+weights receive the finite-target-weighted mean of shard gradients, and
+embedding rows are touched by exactly one shard.
 
 The neighbor structure is stored as top-``k`` ``(indices, weights)`` pairs
 (and their ``N·k``-entry sparse matrix), never as a dense ``(N, N)``
@@ -142,9 +144,16 @@ class SimSTForecaster(Module):
         else:  # graph-free degenerate case: zero aggregate channel
             idx = np.zeros((num_sensors, 1), dtype=np.int64)
             wt = np.zeros((num_sensors, 1), dtype=np.float64)
+        from scipy import sparse  # only SimST pays for the import
+
         self._neighbor_idx = idx
         self._neighbor_wt = wt
-        self._neighbor_matrix = None  # (N, N) CSR of (idx, wt), built on first augment
+        # (N, N) CSR of (idx, wt), built here so a pool forked from this
+        # process inherits it instead of every worker building its own
+        n, k = idx.shape
+        self._neighbor_matrix = sparse.csr_matrix(
+            (wt.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
+        )
         self._shard: Optional[Tuple[int, int]] = None
 
         self.node_embedding = Parameter(
@@ -190,17 +199,23 @@ class SimSTForecaster(Module):
     def sensor_shard(self) -> Optional[Tuple[int, int]]:
         return self._shard
 
-    def augment(self, windows: np.ndarray) -> np.ndarray:
+    def augment(
+        self, windows: np.ndarray, sensors: Optional[Tuple[int, int]] = None
+    ) -> np.ndarray:
         """Append the proximity-aggregate channel: ``(B, N, H, F) -> (B, N, H, 2F)``.
 
-        Pure NumPy/SciPy and fully deterministic — the sharded parent and
-        the serial forward call the *same* routine, which is what makes the
-        sharded step bit-identical in its inputs.  The aggregate is one
+        Pure NumPy/SciPy and fully deterministic — the serial forward and
+        every sharded worker call the *same* routine, which is what makes
+        the sharded step bit-identical in its inputs.  The aggregate is one
         sparse product: the ``(N, N)`` CSR matrix holding each sensor's
         top-``k`` ``(index, weight)`` row times the windows laid out as
         ``(N, B·H·F)``, so no ``(B, N, k, H, F)`` gather is materialised.
-        Needs the full network (aggregation reads neighbor rows), so it
-        always runs before any sensor split.
+
+        The input is always the full network (aggregation reads neighbor
+        rows).  ``sensors=(start, stop)`` returns only those rows,
+        ``(B, stop - start, H, 2F)``: a sensor-shard worker augments its
+        own range from the raw batch, bit-identical to slicing the full
+        result because each output row is the same CSR row product.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 4 or windows.shape[1] != self.num_sensors:
@@ -208,20 +223,20 @@ class SimSTForecaster(Module):
                 f"augment needs the full (B, {self.num_sensors}, H, F) batch, "
                 f"got shape {windows.shape}"
             )
-        if self._neighbor_matrix is None:
-            from scipy import sparse  # only SimST pays for the import
-
-            n, k = self._neighbor_idx.shape
-            row_starts = np.arange(0, n * k + 1, k)
-            self._neighbor_matrix = sparse.csr_matrix(
-                (self._neighbor_wt.ravel(), self._neighbor_idx.ravel(), row_starts),
-                shape=(n, n),
+        start, stop = (0, self.num_sensors) if sensors is None else sensors
+        if not (0 <= start < stop <= self.num_sensors):
+            raise ValueError(
+                f"sensor range [{start}, {stop}) out of range for N={self.num_sensors}"
             )
-        batch, sensors, history, features = windows.shape
-        by_sensor = windows.transpose(1, 0, 2, 3).reshape(sensors, -1)
-        aggregate = (self._neighbor_matrix @ by_sensor).reshape(sensors, batch, history, features)
-        out = np.empty((batch, sensors, history, 2 * features))
-        out[..., :features] = windows
+        matrix = self._neighbor_matrix
+        if (start, stop) != (0, self.num_sensors):
+            matrix = matrix[start:stop]
+        batch, _, history, features = windows.shape
+        rows = stop - start
+        by_sensor = windows.transpose(1, 0, 2, 3).reshape(self.num_sensors, -1)
+        aggregate = (matrix @ by_sensor).reshape(rows, batch, history, features)
+        out = np.empty((batch, rows, history, 2 * features))
+        out[..., :features] = windows[:, start:stop]
         out[..., features:] = aggregate.transpose(1, 0, 2, 3)
         return out
 

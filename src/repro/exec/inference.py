@@ -68,15 +68,14 @@ class InferenceExecutor(Executor):
         self._require_open("predict")
         if weights is not None:
             self.model.load_state_dict(weights)
-        window = np.asarray(inputs, dtype=np.float64)
-        squeeze = window.ndim == 3
-        if squeeze:
-            window = window[None]
+        array = np.asarray(inputs, dtype=np.float64)
+        squeeze = array.ndim == 3
+        window = array[None] if squeeze else array
         if self.history is not None and (
             window.ndim != 4 or window.shape[2] != self.history
         ):
             raise ValueError(
-                f"expected (B, N, {self.history}, F) window, got shape {inputs.shape}"
+                f"expected (B, N, {self.history}, F) window, got shape {array.shape}"
             )
         if self.scaler is not None:
             window = self.scaler.transform(window)

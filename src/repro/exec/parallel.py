@@ -5,7 +5,8 @@ behind the :class:`repro.exec.Executor` contract.  Every ``train_step``:
 
 1. serializes the step's weights once through the schema-v2 checkpoint
    codec (``weights`` arg, or the model's current state when ``None``),
-2. splits the batch into contiguous shards (:func:`repro.parallel.shard_batch`),
+2. splits the batch into contiguous shards (:func:`repro.parallel.shard_batch`)
+   pickled into each worker's pipe,
 3. runs forward/backward on every worker,
 4. tree-reduces the shard gradients into the parent model's parameters
    (:func:`repro.optim.all_reduce_gradients`) and combines the losses as
@@ -89,14 +90,16 @@ class ParallelExecutor(Executor):
             self._pool = None
 
     # ------------------------------------------------------------------ #
-    def _make_shards(self, x: np.ndarray, y: np.ndarray, stats: dict):
-        """Split one batch into per-worker shards (subclasses swap the axis).
+    def _pool_step(self, weights_blob: bytes, x: np.ndarray, y: np.ndarray, stats: dict):
+        """Run one step on the pool; one :class:`ShardResult` per shard.
 
-        Parent-side preparation a subclass times goes into ``stats``.
+        Splits the batch into pickled batch-axis shards; a subclass may
+        change the axis and the transport.  Preparation it times goes into
+        ``stats``.
         """
         from ..parallel import shard_batch
 
-        return shard_batch(x, y, self._pool.n_workers)
+        return self._pool.train_step(weights_blob, shard_batch(x, y, self._pool.n_workers))
 
     def train_step(self, weights: Weights, batch: Batch) -> StepResult:
         """One sharded step; the reduced gradient lands on the parent model."""
@@ -110,8 +113,7 @@ class ParallelExecutor(Executor):
         state = weights if weights is not None else self.model.state_dict()
         weights_blob = checkpoint_module.dumps_state_dict(state)
         stats = {"serialize": time.perf_counter() - serialize_start}
-        shards = self._make_shards(x, y, stats)
-        results = self._pool.train_step(weights_blob, shards)
+        results = self._pool_step(weights_blob, x, y, stats)
         reduce_start = time.perf_counter()
         total = all_reduce_gradients(
             self._parameters,

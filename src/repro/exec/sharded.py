@@ -25,11 +25,15 @@ rows, so the weighted tree-reduce scatters every row's exact serial
 gradient back onto the parent.
 
 The one cross-sensor coupling SimST has — the proximity-aggregate input
-channel — is computed **in the parent** on the full network
-(:meth:`SimSTForecaster.augment`, one sparse product) before slicing, so
-workers receive pre-augmented windows and never need a neighbor's
-activations.  Its wall time is reported as ``stats["augment"]`` (and in the
-profiler's ``parallel`` section), apart from transport.
+channel — needs the full network, so the raw batch reaches every worker:
+the parent writes it once into the pool's shared arena
+(:meth:`repro.parallel.WorkerPool.sensor_step`) and each worker calls
+:meth:`SimSTForecaster.augment` with its own ``sensors=(start, stop)``
+range, getting only its rows, bit-identical to slicing the full augment.
+Nothing sensor-sized is split or pickled in the parent.  The slowest
+worker's augment time is reported as ``stats["augment"]`` (and in the
+profiler's ``parallel`` section); it is part of that worker's ``workerK``
+time.
 
 Axis selection
 --------------
@@ -40,8 +44,9 @@ across sensors inside the forward — the executor degrades to batch-axis
 sharding, which is :class:`ParallelExecutor` semantics exactly.  The chosen
 axis is exposed as :attr:`shard_axis` and stamped into step stats.
 
-``predict`` fans out across the same pool (``("predict", ...)`` protocol
-message) and reassembles with :func:`repro.parallel.unshard_sensors`,
+``predict`` fans out across the same pool through the same arena
+(:meth:`repro.parallel.WorkerPool.sensor_predict`) and reassembles with
+:func:`repro.parallel.unshard_sensors`,
 with the scaler/rank/history bookkeeping of
 :class:`repro.exec.InferenceExecutor` so :class:`repro.serve.ServingEngine`
 can put a sharded executor directly behind a tenant.
@@ -49,8 +54,7 @@ can put a sharded executor directly behind a tenant.
 
 from __future__ import annotations
 
-import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -119,7 +123,7 @@ class ShardedExecutor(ParallelExecutor):
             ),
             huber_delta=self.huber_delta,
             kl_weight=self.kl_weight,
-            worker_extras=[{"sensor_shard": r} for r in self._ranges],
+            sensor_ranges=self._ranges,
         )
 
     def _release(self) -> None:
@@ -132,18 +136,14 @@ class ShardedExecutor(ParallelExecutor):
         return list(self._ranges)
 
     # ------------------------------------------------------------------ #
-    # training: parent-side augmentation, sensor-axis split
+    # training: the raw batch goes to the arena, workers augment their rows
     # ------------------------------------------------------------------ #
-    def _make_shards(self, x: np.ndarray, y: np.ndarray, stats: dict):
+    def _pool_step(self, weights_blob, x, y, stats):
         if self.shard_axis != "sensor":
-            return super()._make_shards(x, y, stats)
-        augment_start = time.perf_counter()
-        augmented = self.model.augment(np.asarray(x, dtype=np.float64))
-        stats["augment"] = time.perf_counter() - augment_start
-        return [
-            (augmented[:, start:stop], y[:, start:stop])
-            for start, stop in self._ranges
-        ]
+            return super()._pool_step(weights_blob, x, y, stats)
+        results = self._pool.sensor_step(weights_blob, x, y)
+        stats["augment"] = max(result.augment for result in results)
+        return results
 
     def train_step(self, weights, batch):
         result = super().train_step(weights, batch)
@@ -168,25 +168,20 @@ class ShardedExecutor(ParallelExecutor):
 
         if weights is not None:
             self.model.load_state_dict(weights)
-        window = np.asarray(inputs, dtype=np.float64)
-        squeeze = window.ndim == 3
-        if squeeze:
-            window = window[None]
+        array = np.asarray(inputs, dtype=np.float64)
+        squeeze = array.ndim == 3
+        window = array[None] if squeeze else array
         if self.history is not None and (
             window.ndim != 4 or window.shape[2] != self.history
         ):
             raise ValueError(
-                f"expected (B, N, {self.history}, F) window, got shape {inputs.shape}"
+                f"expected (B, N, {self.history}, F) window, got shape {array.shape}"
             )
         if self.scaler is not None:
             window = self.scaler.transform(window)
         weights_blob = checkpoint_module.dumps_state_dict(self.model.state_dict())
         if self.shard_axis == "sensor":
-            augmented = self.model.augment(window)
-            shards: Sequence[np.ndarray] = [
-                augmented[:, start:stop] for start, stop in self._ranges
-            ]
-            forecast = unshard_sensors(self._pool.predict(weights_blob, shards))
+            forecast = unshard_sensors(self._pool.sensor_predict(weights_blob, window))
         else:
             pieces = min(self._pool.n_workers, len(window))
             shards = [s for s in np.array_split(window, pieces) if len(s)]

@@ -6,8 +6,11 @@ step the parent
 1. serializes the current weights once with the schema-v2 checkpoint codec
    (:func:`repro.training.dumps_state_dict` — fork/spawn-safe, no pickled
    code objects on the weight path),
-2. splits the mini-batch into per-worker shards (:func:`shard_batch`),
-3. sends ``(weights, shard)`` to every worker over its pipe,
+2. hands every worker its part of the mini-batch: a batch-axis pool pickles
+   per-worker shards (:func:`shard_batch`) into the pipes; a sensor-sharded
+   pool writes the raw batch once into a shared arena and sends only its
+   shape, and each worker augments and slices its own sensor range,
+3. sends the weights with that message to every worker over its pipe,
 4. collects ``(loss, weight, grads, seconds)`` per shard and
 5. tree-reduces the shard gradients into the parent model's parameters
    (:func:`repro.optim.all_reduce_gradients`) so a single optimizer step
@@ -98,7 +101,8 @@ class ShardResult:
     loss: float
     weight: float  # loss-mean element count c_i (see repro.optim.allreduce)
     grads: List[Optional[np.ndarray]] = field(repr=False, default_factory=list)
-    seconds: float = 0.0  # worker-side forward+backward wall time
+    seconds: float = 0.0  # worker-side wall time: augment, forward, backward
+    augment: float = 0.0  # the part of ``seconds`` spent in ``model.augment``
 
 
 def shard_batch(
@@ -245,6 +249,38 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _anonymous_file(nbytes: int) -> int:
+    """A descriptor for ``nbytes`` of nameless, shareable memory.
+
+    ``os.memfd_create`` where the platform has it, an unlinked temporary
+    file elsewhere.  Neither has a name to clean up, and neither starts a
+    resource-tracker process the way ``multiprocessing.shared_memory`` does.
+    """
+    if hasattr(os, "memfd_create"):
+        fd = os.memfd_create("repro-arena", os.MFD_CLOEXEC)
+    else:  # pragma: no cover - non-Linux
+        import tempfile
+
+        with tempfile.TemporaryFile() as handle:
+            fd = os.dup(handle.fileno())
+    try:
+        os.ftruncate(fd, nbytes)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _arena_views(arena: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[np.ndarray]:
+    """Consecutive arrays of ``shapes`` laid out from the arena's start."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(arena[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 def _worker_main(conn, init_blob: bytes) -> None:
     """Run one worker: receive steps over ``conn`` until told to stop.
 
@@ -252,12 +288,23 @@ def _worker_main(conn, init_blob: bytes) -> None:
     worker's id and the base seed — everything is imported lazily here so a
     spawn child only pays for what it uses.
 
+    Two transports carry a batch.  A batch-axis worker receives its shard
+    pickled in the ``"step"``/``"predict"`` message.  A sensor-shard worker
+    receives only the batch shape (``"sensor_step"``/``"sensor_predict"``)
+    and reads the raw batch from the pool's shared arena, mapped read-only
+    when an ``"arena"`` message delivers its descriptor; it then augments
+    its own rows (``model.augment(x, sensors=shard)``) and slices its
+    targets.
+
     A sensor shard is stepped in :func:`sensor_blocks`: per-sensor models
     treat sensors independently, so each block's loss is backpropagated
     seeded with its share ``c_b / c`` of the shard's finite targets and the
     gradients accumulate into ``parameter.grad`` — the same finite-count
     weighting the all-reduce applies across shards, one level down.
     """
+    import mmap
+    from multiprocessing import reduction
+
     from ..core.loss import STWALoss
     from ..tensor import detect_anomaly, rng as rng_module, set_hooks
     from ..tensor import tensor as tensor_core
@@ -279,10 +326,71 @@ def _worker_main(conn, init_blob: bytes) -> None:
     loss_fn = STWALoss(delta=init["huber_delta"], kl_weight=init["kl_weight"])
     kl_model = model if hasattr(model, "kl_divergence") else None
     screen = bool(init["detect_anomaly"])
+    arena: Optional[np.ndarray] = None  # float64 view of the shared batch
 
     def restore_shard() -> None:
         if sensor_shard is not None:
             model.set_sensor_shard(*sensor_shard)
+
+    def inputs(kind: str, payload) -> Tuple[Tuple[np.ndarray, ...], float]:
+        """The worker's ``(x[, y])`` for one message and its augment seconds."""
+        if not kind.startswith("sensor_"):
+            return payload, 0.0
+        start, stop = sensor_shard
+        x, *rest = _arena_views(arena, payload)
+        augment_start = time.perf_counter()
+        x = model.augment(x, sensors=sensor_shard)
+        seconds = time.perf_counter() - augment_start
+        return (x, *(array[:, start:stop] for array in rest)), seconds
+
+    def predict(x_shard: np.ndarray) -> np.ndarray:
+        model.eval()
+        forecast = None
+        try:
+            with tensor_core.inference_mode():
+                for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
+                    if sensor_range is not None:
+                        model.set_sensor_shard(*sensor_range)
+                    block = model(tensor_core.Tensor(x_shard[:, columns])).data
+                    if forecast is None:
+                        forecast = np.empty(x_shard.shape[:2] + block.shape[2:])
+                    forecast[:, columns] = block
+        finally:
+            restore_shard()
+            model.train()
+        return forecast
+
+    def step(x_shard: np.ndarray, y_shard: np.ndarray) -> Tuple[float, float]:
+        for parameter in parameters:
+            parameter.zero_grad()
+        finite = np.isfinite(y_shard)
+        weight = float(finite.sum())
+        value = 0.0
+        guard = detect_anomaly() if screen else nullcontext()
+        try:
+            with guard:
+                for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
+                    if sensor_range is not None:
+                        model.set_sensor_shard(*sensor_range)
+                    prediction = model(tensor_core.Tensor(x_shard[:, columns]))
+                    loss = loss_fn(
+                        prediction, tensor_core.Tensor(y_shard[:, columns]), model=kl_model
+                    )
+                    block_value = float(loss.item())
+                    # mirror the serial trainer: a non-finite loss is
+                    # reported, not backpropagated — the parent raises the
+                    # same error
+                    if not np.isfinite(block_value):
+                        value = block_value
+                        break
+                    share = float(finite[:, columns].sum()) / weight if weight else 0.0
+                    value += share * block_value
+                    if share:
+                        loss.backward(np.float64(share))
+                    del prediction, loss  # free this block's graph first
+        finally:
+            restore_shard()
+        return value, weight
 
     restore_shard()
 
@@ -291,69 +399,34 @@ def _worker_main(conn, init_blob: bytes) -> None:
             message = conn.recv()
         except (EOFError, KeyboardInterrupt):
             break
-        if message[0] == "stop":
+        kind = message[0]
+        if kind == "stop":
             break
-        if message[0] == "predict":
+        if kind == "arena":
+            # a new (larger) arena replaces the old one; the old mapping is
+            # released once no view of it is left
+            fd = reduction.recv_handle(conn)
             try:
-                _, weights_blob, x_shard = message
-                if weights_blob is not None:
-                    model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
-                model.eval()
-                forecast = None
-                try:
-                    with tensor_core.inference_mode():
-                        for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
-                            if sensor_range is not None:
-                                model.set_sensor_shard(*sensor_range)
-                            block = model(tensor_core.Tensor(x_shard[:, columns])).data
-                            if forecast is None:
-                                forecast = np.empty(x_shard.shape[:2] + block.shape[2:])
-                            forecast[:, columns] = block
-                finally:
-                    restore_shard()
-                    model.train()
-                conn.send(("ok", forecast))
-            except Exception as error:  # noqa: BLE001 - full report crosses the pipe
-                conn.send(("raise", "error", f"{type(error).__name__}: {error}"))
+                arena = np.frombuffer(
+                    mmap.mmap(fd, message[1], access=mmap.ACCESS_READ), dtype=np.float64
+                )
+            finally:
+                os.close(fd)
             continue
         try:
-            _, weights_blob, x_shard, y_shard = message
             start = time.perf_counter()
-            if weights_blob is not None:
-                model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
-            for parameter in parameters:
-                parameter.zero_grad()
-            finite = np.isfinite(y_shard)
-            weight = float(finite.sum())
-            value = 0.0
-            guard = detect_anomaly() if screen else nullcontext()
-            try:
-                with guard:
-                    for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
-                        if sensor_range is not None:
-                            model.set_sensor_shard(*sensor_range)
-                        prediction = model(tensor_core.Tensor(x_shard[:, columns]))
-                        loss = loss_fn(
-                            prediction, tensor_core.Tensor(y_shard[:, columns]), model=kl_model
-                        )
-                        block_value = float(loss.item())
-                        # mirror the serial trainer: a non-finite loss is
-                        # reported, not backpropagated — the parent raises
-                        # the same error
-                        if not np.isfinite(block_value):
-                            value = block_value
-                            break
-                        share = float(finite[:, columns].sum()) / weight if weight else 0.0
-                        value += share * block_value
-                        if share:
-                            loss.backward(np.float64(share))
-                        del prediction, loss  # free this block's graph first
-            finally:
-                restore_shard()
-            grads = [None if p.grad is None else p.grad for p in parameters]
-            conn.send(
-                ("ok", value, weight, grads, time.perf_counter() - start)
-            )
+            if message[1] is not None:
+                model.load_state_dict(checkpoint_module.loads_state_dict(message[1]))
+            arrays, augment_seconds = inputs(kind, message[2:])
+            if kind.endswith("predict"):
+                reply = ("ok", predict(*arrays))
+            else:
+                value, weight = step(*arrays)
+                grads = [None if p.grad is None else p.grad for p in parameters]
+                reply = (
+                    "ok", value, weight, grads, time.perf_counter() - start, augment_seconds
+                )
+            conn.send(reply)
         except FloatingPointError as error:
             conn.send(("raise", "float", f"{type(error).__name__}: {error}"))
         except Exception as error:  # noqa: BLE001 - full report crosses the pipe
@@ -366,6 +439,17 @@ def _worker_main(conn, init_blob: bytes) -> None:
 class WorkerPool:
     """N persistent training workers connected by pipes.
 
+    A pool built with ``sensor_ranges`` pins worker ``i`` to the contiguous
+    sensor range ``sensor_ranges[i]`` and also owns a shared arena: one
+    float64 buffer in nameless shared memory (:func:`_anonymous_file`) that
+    :meth:`sensor_step` and :meth:`sensor_predict` write the raw batch into
+    once, so each worker receives only the weights and the batch shape.
+    The arena's descriptor goes to every worker over its pipe
+    (``multiprocessing.reduction.send_handle``) when the arena is first
+    needed, and again only when a batch outgrows it.  :meth:`train_step`
+    and :meth:`predict` keep the pickled-shard transport for batch-axis
+    shards.
+
     Usable as a context manager; :meth:`close` is idempotent and always
     safe to call (it terminates stragglers rather than hang).
     """
@@ -377,20 +461,24 @@ class WorkerPool:
         *,
         huber_delta: float,
         kl_weight: float,
-        worker_extras: Optional[Sequence[dict]] = None,
+        sensor_ranges: Optional[Sequence[Tuple[int, int]]] = None,
     ):
-        if worker_extras is not None and len(worker_extras) != config.n_workers:
+        if sensor_ranges is not None and len(sensor_ranges) != config.n_workers:
             raise ValueError(
-                f"worker_extras has {len(worker_extras)} entries for "
+                f"sensor_ranges has {len(sensor_ranges)} entries for "
                 f"{config.n_workers} workers"
             )
         self.config = config
         self.n_workers = config.n_workers
+        self.sensor_ranges = None if sensor_ranges is None else list(sensor_ranges)
         method = config.start_method or default_start_method()
         context = mp.get_context(method)
         self.start_method = method
         self._workers = []
         self._conns = []
+        self._arena = None  # mmap of the shared batch arena (sensor pools)
+        self._arena_view: Optional[np.ndarray] = None  # its float64 view
+        self._closed = False
         for worker_id in range(config.n_workers):
             init = {
                 "model": model,
@@ -401,8 +489,8 @@ class WorkerPool:
                 "kl_weight": kl_weight,
                 "detect_anomaly": config.detect_anomaly,
             }
-            if worker_extras is not None:
-                init.update(worker_extras[worker_id])
+            if sensor_ranges is not None:
+                init["sensor_shard"] = tuple(sensor_ranges[worker_id])
             init_blob = pickle.dumps(init)
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
@@ -415,13 +503,17 @@ class WorkerPool:
             child_conn.close()
             self._workers.append(process)
             self._conns.append(parent_conn)
-        self._closed = False
+
+    @property
+    def arena_bytes(self) -> int:
+        """Size of the shared batch arena (0 until a sensor batch needs it)."""
+        return 0 if self._arena is None else len(self._arena)
 
     # ------------------------------------------------------------------ #
     def train_step(
         self, weights_blob: Optional[bytes], shards: Sequence[Tuple[np.ndarray, np.ndarray]]
     ) -> List[ShardResult]:
-        """Run one data-parallel step; returns one result per shard.
+        """Run one batch-axis step on pickled shards; one result per shard.
 
         Shards are dealt to workers in order; with fewer shards than
         workers (a tail batch smaller than the pool) the idle workers
@@ -429,22 +521,123 @@ class WorkerPool:
         hit one (after draining every reply, so the pipes stay in sync for
         the retry the recovery policy will schedule).
         """
+        self._check_shards(shards, "train_step")
+        self._dispatch([("step", weights_blob, x, y) for x, y in shards])
+        return self._collect_steps(len(shards))
+
+    def sensor_step(
+        self, weights_blob: Optional[bytes], x: np.ndarray, y: np.ndarray
+    ) -> List[ShardResult]:
+        """Run one step with every worker on its sensor range of ``(x, y)``.
+
+        ``x`` and ``y`` are the raw full-network batch; they are written
+        once into the shared arena and each worker augments and slices its
+        own rows.  One result per worker, in worker order, with the same
+        failure handling as :meth:`train_step`.
+        """
+        shapes = self._write_arena(x, y)
+        self._dispatch([("sensor_step", weights_blob, *shapes)] * self.n_workers)
+        return self._collect_steps(self.n_workers)
+
+    def predict(
+        self, weights_blob: Optional[bytes], shards: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """Fan a batch-axis inference batch out over the pool; one forecast
+        per pickled shard.
+
+        Same dealing/draining discipline as :meth:`train_step`: shards go
+        to workers in order, every reply is collected before any error is
+        raised, so the pipes stay usable afterwards.  Workers run under
+        ``inference_mode`` with the shipped weights (ship ``None`` only if
+        the pool's weights are known current).
+        """
+        self._check_shards(shards, "predict")
+        self._dispatch([("predict", weights_blob, x) for x in shards])
+        return self._collect_forecasts(len(shards))
+
+    def sensor_predict(self, weights_blob: Optional[bytes], x: np.ndarray) -> List[np.ndarray]:
+        """Forecast a full-network window through the arena; one
+        ``(B, stop - start, ...)`` forecast per worker, in sensor order."""
+        (shape,) = self._write_arena(x)
+        self._dispatch([("sensor_predict", weights_blob, shape)] * self.n_workers)
+        return self._collect_forecasts(self.n_workers)
+
+    # ------------------------------------------------------------------ #
+    def _check_shards(self, shards: Sequence, what: str) -> None:
         if self._closed:
             raise WorkerError("worker pool is closed")
         if not shards:
-            raise ValueError("train_step needs at least one shard")
+            raise ValueError(f"{what} needs at least one shard")
         if len(shards) > self.n_workers:
             raise ValueError(f"{len(shards)} shards exceed pool size {self.n_workers}")
-        for conn, (x_shard, y_shard) in zip(self._conns, shards):
-            conn.send(("step", weights_blob, x_shard, y_shard))
+
+    def _write_arena(self, *arrays: np.ndarray) -> List[Tuple[int, ...]]:
+        """Copy ``arrays`` back to back into the arena (growing it if they do
+        not fit) and return their shapes for the workers to view."""
+        if self._closed:
+            raise WorkerError("worker pool is closed")
+        if self.sensor_ranges is None:
+            raise ValueError("the shared arena serves pools built with sensor_ranges")
+        arrays = [np.asarray(array) for array in arrays]
+        nbytes = 8 * sum(array.size for array in arrays)
+        if nbytes > self.arena_bytes:
+            self._grow_arena(nbytes)
+        for array, view in zip(arrays, _arena_views(self._arena_view, [a.shape for a in arrays])):
+            view[...] = array
+        return [array.shape for array in arrays]
+
+    def _grow_arena(self, nbytes: int) -> None:
+        """Replace the arena with a ``nbytes`` one and hand it to every worker."""
+        import mmap
+        from multiprocessing import reduction
+
+        nbytes = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        fd = _anonymous_file(nbytes)
+        try:
+            arena = mmap.mmap(fd, nbytes)
+            for worker_id, (conn, process) in enumerate(zip(self._conns, self._workers)):
+                self._send(worker_id, ("arena", nbytes))
+                try:
+                    reduction.send_handle(conn, fd, process.pid)
+                except OSError as error:
+                    self.close()
+                    raise WorkerError(f"worker {worker_id} is gone: {error}") from error
+        finally:
+            os.close(fd)
+        self._release_arena()
+        self._arena = arena
+        self._arena_view = np.frombuffer(arena, dtype=np.float64)
+
+    def _release_arena(self) -> None:
+        self._arena_view = None
+        arena, self._arena = self._arena, None
+        if arena is not None:
+            try:
+                arena.close()
+            except BufferError:  # a caller still holds a view; GC unmaps it
+                pass
+
+    def _send(self, worker_id: int, message) -> None:
+        try:
+            self._conns[worker_id].send(message)
+        except OSError as error:  # the worker exited and closed its end
+            self.close()
+            raise WorkerError(f"worker {worker_id} is gone: {error}") from error
+
+    def _dispatch(self, messages: Sequence[tuple]) -> None:
+        """Send message ``i`` to worker ``i``."""
+        for worker_id, message in enumerate(messages):
+            self._send(worker_id, message)
+
+    def _collect_steps(self, count: int) -> List[ShardResult]:
         results: List[ShardResult] = []
         numerical_failure: Optional[str] = None
         worker_failure: Optional[str] = None
-        for worker_id in range(len(shards)):
+        for worker_id in range(count):
             reply = self._receive(worker_id)
             if reply[0] == "ok":
-                _, value, weight, grads, seconds = reply
-                results.append(ShardResult(worker_id, value, weight, grads, seconds))
+                _, value, weight, grads, seconds, augment = reply
+                results.append(ShardResult(worker_id, value, weight, grads, seconds, augment))
             elif reply[1] == "float":
                 numerical_failure = f"worker {worker_id}: {reply[2]}"
             else:
@@ -455,28 +648,10 @@ class WorkerPool:
             raise FloatingPointError(numerical_failure)
         return results
 
-    def predict(
-        self, weights_blob: Optional[bytes], shards: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Fan an inference batch out over the pool; one forecast per shard.
-
-        Same dealing/draining discipline as :meth:`train_step`: shards go
-        to workers in order, every reply is collected before any error is
-        raised, so the pipes stay usable afterwards.  Workers run under
-        ``inference_mode`` with the shipped weights (ship ``None`` only if
-        the pool's weights are known current).
-        """
-        if self._closed:
-            raise WorkerError("worker pool is closed")
-        if not shards:
-            raise ValueError("predict needs at least one shard")
-        if len(shards) > self.n_workers:
-            raise ValueError(f"{len(shards)} shards exceed pool size {self.n_workers}")
-        for conn, x_shard in zip(self._conns, shards):
-            conn.send(("predict", weights_blob, x_shard))
+    def _collect_forecasts(self, count: int) -> List[np.ndarray]:
         forecasts: List[np.ndarray] = []
         worker_failure: Optional[str] = None
-        for worker_id in range(len(shards)):
+        for worker_id in range(count):
             reply = self._receive(worker_id)
             if reply[0] == "ok":
                 forecasts.append(reply[1])
@@ -508,15 +683,20 @@ class WorkerPool:
         for conn in self._conns:
             try:
                 conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         for process in self._workers:
             process.join(timeout=5.0)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            process.close()  # releases its sentinel descriptor now
         for conn in self._conns:
             conn.close()
+        self._release_arena()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -43,7 +43,8 @@ draw no randomness in the training forward pass the parallel loss
 trajectory matches serial training to float64 reduction accuracy at any
 worker count.  Evaluation and prediction route through a
 :class:`repro.exec.InferenceExecutor` (the same graph-free fast path the
-serving plane uses).
+serving plane uses); validation inside ``fit`` on a sensor-sharded
+executor runs on its worker pool instead.
 
 Scaling convention: models operate in z-scored space; the loss compares
 against scaled targets while reported metrics are computed in raw units via
@@ -181,6 +182,9 @@ class Trainer:
         # path; inputs are already in scaled model space, so no scaler.
         # Resource-free, so it can stay open for the trainer's lifetime.
         self._infer = InferenceExecutor(model).open()
+        # what evaluate() predicts through: the in-process executor, or a
+        # sensor-sharded pool while fit() has it open
+        self._evaluator = self._infer
         self._windows = {
             "train": SlidingWindowDataset(dataset.train, spec, raw=dataset.train_raw),
             "val": SlidingWindowDataset(dataset.val, spec, raw=dataset.val_raw),
@@ -221,6 +225,10 @@ class Trainer:
         if resume_from is not None:
             best_state, start_epoch = self._restore_checkpoint(resume_from, history, stopper)
         self.executor.open()  # workers spawn here for the parallel backend
+        if getattr(self.executor, "shard_axis", None) == "sensor":
+            # validation runs on the pool: block by block in the workers
+            # instead of one full-network forward in this process
+            self._evaluator = self.executor
         iterator = self._train_iterator()
         if self._observed:
             self.sink.emit(
@@ -288,6 +296,7 @@ class Trainer:
                     break
                 epoch += 1
         finally:
+            self._evaluator = self._infer
             self.executor.close()
         history.best_epoch = stopper.best_epoch
         self.model.load_state_dict(best_state)
@@ -544,7 +553,12 @@ class Trainer:
 
     # ------------------------------------------------------------------ #
     def evaluate(self, split: str = "test", max_batches: Optional[int] = None) -> Dict[str, float]:
-        """Raw-unit MAE/RMSE/MAPE over ``split`` (NaN targets are masked)."""
+        """Raw-unit MAE/RMSE/MAPE over ``split`` (NaN targets are masked).
+
+        Predicts through the in-process :class:`repro.exec.InferenceExecutor`,
+        except while :meth:`fit` has a sensor-sharded executor open: then the
+        forecasts come from its worker pool.
+        """
         if split not in self._windows:
             raise KeyError(f"split must be one of {sorted(self._windows)}")
         predictions, targets = [], []
@@ -555,7 +569,7 @@ class Trainer:
             max_batches=max_batches,
         )
         for x_batch, y_raw in iterator:
-            prediction = self._infer.predict(None, x_batch)
+            prediction = self._evaluator.predict(None, x_batch)
             predictions.append(self.dataset.scaler.inverse_transform(prediction))
             targets.append(y_raw)
         prediction = np.concatenate(predictions)

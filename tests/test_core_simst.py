@@ -100,6 +100,17 @@ class TestForward:
         )
         np.testing.assert_array_equal(augmented[..., 1:], expected)
 
+    def test_row_range_augment_is_the_slice_of_the_full_augment(self):
+        model = tiny_model()
+        x = np.random.default_rng(5).standard_normal((3, 5, HISTORY, 1))
+        full = model.augment(x)
+        for start, stop in ((0, 2), (2, 5), (1, 4), (0, 5)):
+            part = model.augment(x, sensors=(start, stop))
+            np.testing.assert_array_equal(part, full[:, start:stop])
+        for bad in ((2, 2), (-1, 3), (3, 6)):
+            with pytest.raises(ValueError, match="out of range"):
+                model.augment(x, sensors=bad)
+
     def test_graph_free_aggregate_is_zero(self):
         model = SimSTForecaster(
             4, history=HISTORY, horizon=HORIZON, hidden=8, embedding_dim=4,

@@ -228,6 +228,17 @@ class TestShardedExecutor:
         assert single.ndim == 3
         np.testing.assert_array_equal(single, batched[0])
 
+    def test_nested_list_with_wrong_history_raises_value_error(
+        self, tiny_dataset, seeded_batch
+    ):
+        x, _ = seeded_batch
+        executor = ShardedExecutor(
+            small_simst(tiny_dataset.num_sensors), n_workers=2, history=SPEC.history
+        )
+        with executor:
+            with pytest.raises(ValueError, match=r"got shape \(2, 8, 11, 1\)"):
+                executor.predict(None, x[:2, :, :-1].tolist())
+
 
 # --------------------------------------------------------------------- #
 # inference executors can never train
@@ -245,6 +256,15 @@ class TestInferenceExecutor:
         with pytest.raises(ValueError, match="window"):
             executor.predict(None, x[:, :, :-1])
         executor.close()
+
+    def test_nested_list_with_wrong_history_raises_value_error(
+        self, tiny_dataset, seeded_batch
+    ):
+        model = small_model(tiny_dataset.num_sensors)
+        x, _ = seeded_batch
+        with InferenceExecutor(model, history=SPEC.history) as executor:
+            with pytest.raises(ValueError, match=r"got shape \(8, 11, 1\)"):
+                executor.predict(None, x[0, :, :-1].tolist())
 
     def test_single_snapshot_keeps_rank(self, tiny_dataset, seeded_batch):
         x, _ = seeded_batch

@@ -519,6 +519,124 @@ class TestBlockedShardWorkers:
         )
 
 
+def _child_pids() -> set:
+    """Live processes whose parent is this test process."""
+    import os
+
+    me, found = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                text = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        fields = text[text.rindex(")") + 2 :].split()
+        if int(fields[1]) == me and fields[0] != "Z":
+            found.add(int(entry))
+    return found
+
+
+class _KilledInStep(SimSTForecaster):
+    """Blocked SimST whose sensor-0 worker dies of SIGKILL inside a step."""
+
+    def forward(self, x):
+        import os
+        import signal
+
+        shard = self.sensor_shard
+        if self.training and shard is not None and shard[0] == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().forward(x)
+
+
+def _killed_in_step() -> _KilledInStep:
+    return _KilledInStep(
+        BLOCK_SENSORS, history=4, horizon=3, hidden=8, embedding_dim=4, predictor_hidden=8
+    )
+
+
+class TestSharedArena:
+    """Sensor pools take the raw batch from one shared arena, not pickles."""
+
+    def draw(self, batch: int, seed: int):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, BLOCK_SENSORS, 4, 1))
+        y = rng.standard_normal((batch, BLOCK_SENSORS, 3, 1))
+        return x, y
+
+    def assert_step_matches(self, serial, sharded, x, y):
+        expected = serial.train_step(None, (x, y))
+        expected_grads = [None if g is None else g.copy() for g in expected.grads]
+        result = sharded.train_step(None, (x, y))
+        assert abs(result.loss - expected.loss) <= 1e-12
+        for left, right in zip(expected_grads, result.grads):
+            assert (left is None) == (right is None)
+            if left is not None:
+                np.testing.assert_allclose(right, left, rtol=0.0, atol=1e-12)
+
+    def test_batch_sizes_reuse_and_regrow_the_arena(self):
+        serial = SerialExecutor(blocked_simst()).open()
+        sharded = ShardedExecutor(blocked_simst(), n_workers=2).open()
+        try:
+            pool = sharded._pool
+            assert pool.arena_bytes == 0  # nothing mapped before a batch needs it
+            sizes = []
+            for seed, batch in enumerate((16, 5, 16, 24)):
+                self.assert_step_matches(serial, sharded, *self.draw(batch, seed))
+                sizes.append(pool.arena_bytes)
+            needed = 8 * BLOCK_SENSORS * (4 + 3)
+            assert sizes[0] >= 16 * needed
+            assert sizes[0] == sizes[1] == sizes[2]  # 5 and 16 reuse the arena
+            assert sizes[3] >= 24 * needed > sizes[2]  # 24 outgrew it
+            x, _ = self.draw(5, 9)
+            np.testing.assert_allclose(
+                sharded.predict(None, x), serial.predict(None, x), rtol=0.0, atol=1e-12
+            )
+        finally:
+            sharded.close()
+            serial.close()
+
+    def test_open_close_cycles_leak_no_descriptor_or_child(self):
+        import os
+
+        fds_before = len(os.listdir("/proc/self/fd"))
+        children_before = _child_pids()
+        workers = []
+        x, y = self.draw(16, 0)
+        for _ in range(3):
+            sharded = ShardedExecutor(blocked_simst(), n_workers=2).open()
+            workers += [process.pid for process in sharded._pool._workers]
+            sharded.train_step(None, (x, y))
+            sharded.predict(None, x)
+            sharded.close()
+        assert len(os.listdir("/proc/self/fd")) == fds_before
+        assert _child_pids() <= children_before
+        assert not set(workers) & _child_pids()
+
+    def test_killed_worker_raises_worker_error(self):
+        sharded = ShardedExecutor(_killed_in_step(), n_workers=2, start_method="fork").open()
+        workers = {process.pid for process in sharded._pool._workers}
+        x, y = self.draw(16, 0)
+        with pytest.raises(WorkerError, match="worker 0"):
+            sharded.train_step(None, (x, y))
+        sharded.close()  # returns: the pool already stopped what was left
+        assert not workers & _child_pids()
+
+    @pytest.mark.slow
+    def test_spawn_matches_serial(self):
+        serial = SerialExecutor(blocked_simst()).open()
+        sharded = ShardedExecutor(blocked_simst(), n_workers=2, start_method="spawn").open()
+        try:
+            assert sharded._pool.start_method == "spawn"
+            self.assert_step_matches(serial, sharded, *self.draw(16, 0))
+            self.assert_step_matches(serial, sharded, *self.draw(5, 1))
+        finally:
+            sharded.close()
+            serial.close()
+
+
 BLAS_CHECK = """
 import ctypes
 import numpy

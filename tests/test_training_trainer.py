@@ -141,3 +141,52 @@ class TestEvalMode:
         trainer.model.train()
         trainer.predict(tiny_dataset.test[:, :12][None])
         assert trainer.model.training
+
+
+class _EvaluateMidFit:
+    """``batch_hook`` that evaluates once inside ``fit`` and keeps the weights."""
+
+    def __init__(self):
+        self.metrics = None
+        self.state = None
+
+    def after_batch(self, trainer, epoch, batch_index):
+        if self.metrics is None and batch_index == 1:
+            self.metrics = trainer.evaluate("val", max_batches=3)
+            self.state = trainer.model.state_dict()
+
+
+class TestShardedEvaluation:
+    def test_validation_runs_on_the_pool_during_fit(self, tiny_dataset):
+        from repro.core import SimSTForecaster
+        from repro.exec import ExecutorSpec
+
+        model = SimSTForecaster(
+            tiny_dataset.num_sensors, tiny_dataset.adjacency, history=12, horizon=12,
+            hidden=8, embedding_dim=4, predictor_hidden=16, num_neighbors=3, seed=0,
+        )
+        hook = _EvaluateMidFit()
+        trainer = small_trainer(
+            tiny_dataset, model=model, epochs=1, max_batches_per_epoch=3,
+            batch_hook=hook, executor=ExecutorSpec.sharded(n_workers=2),
+        )
+        pool_batches = []
+        pool_predict = trainer.executor.predict
+
+        def counted(weights, inputs):
+            pool_batches.append(len(inputs))
+            return pool_predict(weights, inputs)
+
+        trainer.executor.predict = counted
+        trainer.fit()
+        assert trainer.executor.shard_axis == "sensor"
+        # the mid-fit evaluation and fit's own validation both ran on the pool
+        assert len(pool_batches) == 6
+        assert not trainer.executor.is_open
+        # after fit the pool is closed; evaluate runs in-process at the same
+        # weights and agrees with the pool's forecasts
+        trainer.model.load_state_dict(hook.state)
+        in_process = trainer.evaluate("val", max_batches=3)
+        assert len(pool_batches) == 6
+        for name, value in hook.metrics.items():
+            np.testing.assert_allclose(value, in_process[name], rtol=1e-12, atol=0.0)
