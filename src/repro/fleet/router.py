@@ -337,10 +337,12 @@ class FleetRouter:
         start = time.perf_counter()
         tenant = self._tenant(model_id)
         if window is None:
-            window, _mask = tenant.store.window()
+            # one record: the version is the one this window was built from
+            request = tenant.store.live()
+            window, data_version = request.window, request.version
         else:
-            window = np.asarray(window, dtype=np.float64)
-        data_version = tenant.store.version
+            window = request = np.asarray(window, dtype=np.float64)
+            data_version = tenant.store.version
 
         with tenant.lock:
             tenant.requests += 1
@@ -374,7 +376,7 @@ class FleetRouter:
             )
 
         try:
-            result = handle.engine.forecast(window)
+            result = handle.engine.forecast(request)
         finally:
             handle.release()
             with tenant.lock:

@@ -7,7 +7,8 @@
   runs under :class:`repro.tensor.inference_mode` (no graph, no gradient
   buffers, no op tracing).
 * :class:`StreamStateStore` — per-sensor ring buffers of the last W
-  observations, with online imputation of gaps at read time.
+  observations, with online imputation of gaps at read time; each data
+  version's window is materialized once, as a read-only :class:`LiveWindow`.
 * :class:`MicroBatcher` — coalesces concurrent requests into one batched
   forward (bounded batch size; lingers for companions, up to a bound, only
   while callers have been seen to be concurrent).
@@ -32,7 +33,7 @@ from .batcher import MicroBatcher
 from .cache import PredictionCache, fingerprint_window
 from .engine import ForecastResult, ServeConfig, ServingEngine
 from .metrics import Distribution, LatencyHistogram, ServingStats
-from .state import StreamStateStore
+from .state import LiveWindow, StreamStateStore
 
 __all__ = [
     "ARTIFACT_VERSION",
@@ -40,6 +41,7 @@ __all__ = [
     "save_artifact",
     "load_artifact",
     "StreamStateStore",
+    "LiveWindow",
     "MicroBatcher",
     "PredictionCache",
     "fingerprint_window",

@@ -12,6 +12,12 @@ expire two ways:
   and :meth:`PredictionCache.invalidate_before` (called by the engine on
   every ingest) drops entries computed from older state.
 
+The fingerprint is a content hash, so a live read and an explicit window
+with the same contents share one entry.  Explicit windows are hashed on
+every lookup; the live window's digest is computed once per data version
+and stored on its :class:`repro.serve.state.LiveWindow` record, which the
+engine keys through :meth:`PredictionCache.digest_key`.
+
 Capacity is bounded with LRU eviction.  The clock is injectable so tests
 control time.  Entries are private read-only copies: a caller that writes
 into a served forecast gets an error instead of corrupting later hits.
@@ -35,7 +41,7 @@ def fingerprint_window(window: np.ndarray) -> str:
     window = np.ascontiguousarray(window)
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(window.shape).encode())
-    digest.update(str(window.dtype).encode())
+    digest.update(window.dtype.str.encode())
     digest.update(window.tobytes())
     return digest.hexdigest()
 
@@ -65,7 +71,12 @@ class PredictionCache:
 
     @staticmethod
     def make_key(model_id: str, window: np.ndarray, horizon: int) -> CacheKey:
-        return (model_id, fingerprint_window(window), int(horizon))
+        return PredictionCache.digest_key(model_id, fingerprint_window(window), horizon)
+
+    @staticmethod
+    def digest_key(model_id: str, digest: str, horizon: int) -> CacheKey:
+        """Key for a window whose :func:`fingerprint_window` digest is known."""
+        return (model_id, digest, int(horizon))
 
     # ------------------------------------------------------------------ #
     def get(self, key: CacheKey) -> Optional[np.ndarray]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,9 +46,9 @@ from ..obs import MetricsSink, NullSink, SafeSink
 from ..resilience import CircuitBreaker
 from .artifact import ForecasterArtifact
 from .batcher import MicroBatcher
-from .cache import PredictionCache
+from .cache import PredictionCache, fingerprint_window
 from .metrics import ServingStats
-from .state import StreamStateStore
+from .state import LiveWindow, StreamStateStore
 
 
 @dataclass
@@ -219,8 +219,15 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     # request path
     # ------------------------------------------------------------------ #
-    def forecast(self, window: Optional[np.ndarray] = None) -> ForecastResult:
+    def forecast(
+        self, window: Union[np.ndarray, LiveWindow, None] = None
+    ) -> ForecastResult:
         """Serve one forecast for ``window`` (default: the live stream state).
+
+        A :class:`~repro.serve.state.LiveWindow` (what ``store.live()``
+        returns) is served as the live read it records: its window, the
+        data version it was built from and its stored digest.  An explicit
+        array is hashed on every call.
 
         Never raises for model-side problems: exceptions, deadline overruns
         and an open circuit all degrade to the persistence fallback with
@@ -228,11 +235,14 @@ class ServingEngine:
         """
         start = time.perf_counter()
         if window is None:
-            window, _mask = self.store.window()
+            window = self.store.live()
+        if isinstance(window, LiveWindow):
+            data_version, digest = window.version, window.digest
+            window = window.window
         else:
             window = np.asarray(window, dtype=np.float64)
-        data_version = self.store.version
-        key = self.cache.make_key(self.artifact.model_id, window, self.artifact.horizon)
+            data_version, digest = self.store.version, fingerprint_window(window)
+        key = self.cache.digest_key(self.artifact.model_id, digest, self.artifact.horizon)
 
         cached = self.cache.get(key)
         if cached is not None:

@@ -13,6 +13,15 @@ A monotonically increasing :attr:`~StreamStateStore.version` stamps every
 ingest; the prediction cache (:mod:`repro.serve.cache`) uses it to drop
 forecasts computed from stale state.  All methods are thread-safe — the
 micro-batcher's worker reads windows while request threads ingest.
+
+Between two ingests every live read has the same input, so the store
+materializes each data version's window once: :meth:`~StreamStateStore.live`
+returns one :class:`LiveWindow` record (version, window, mask and, on first
+use, the window's :func:`~repro.serve.cache.fingerprint_window` digest) and
+hands the same record to every read until the version moves.  Its arrays
+are shared and read-only — ``.copy()`` before writing.  Reading version and
+window from one record also keeps a concurrent ingest from stamping a
+forecast of window *v* with version *v + 1*.
 """
 
 from __future__ import annotations
@@ -23,6 +32,36 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.imputation import impute_series
+from .cache import fingerprint_window
+
+
+class LiveWindow:
+    """One data version's model-ready window, built once and shared read-only.
+
+    ``window`` and ``mask`` are the ``(N, W, F)`` arrays
+    :meth:`StreamStateStore.window` returns; ``version`` is the store version
+    they were built from.  :attr:`digest` is the window's content hash,
+    computed on first use with :func:`repro.serve.cache.fingerprint_window`,
+    so a live read keys the prediction cache exactly like an explicit
+    window with the same contents.
+    """
+
+    __slots__ = ("version", "window", "mask", "_digest")
+
+    def __init__(self, version: int, window: np.ndarray, mask: np.ndarray):
+        window.setflags(write=False)
+        mask.setflags(write=False)
+        self.version = version
+        self.window = window
+        self.mask = mask
+        self._digest: Optional[str] = None
+
+    @property
+    def digest(self) -> str:
+        """Content hash of :attr:`window` (racing first reads compute the same value)."""
+        if self._digest is None:
+            self._digest = fingerprint_window(self.window)
+        return self._digest
 
 
 class StreamStateStore:
@@ -55,6 +94,7 @@ class StreamStateStore:
         self._head = 0  # next write position along the time axis
         self._ticks = 0  # total ingests ever
         self._version = 0
+        self._live: Optional[LiveWindow] = None  # the current version's window, once read
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -125,11 +165,29 @@ class StreamStateStore:
         observed prefix of a cold stream) are filled via the configured
         imputation method; ``mask`` is 1.0 where the value was actually
         observed.  Works from the very first tick — a stream shorter than
-        ``W`` simply has an all-missing prefix.
+        ``W`` simply has an all-missing prefix.  Both arrays are the current
+        :meth:`live` record's: shared between reads and read-only.
         """
+        live = self.live()
+        return live.window, live.mask
+
+    def live(self) -> LiveWindow:
+        """The current data version's :class:`LiveWindow`, built on first read."""
         with self._lock:
-            ordered = np.roll(self._ring, -self._head, axis=1)
-        return impute_series(ordered, method=self.impute_method)
+            live = self._live
+            if live is None or live.version != self._version:
+                live = self._live = self._materialize()
+            return live
+
+    def _materialize(self) -> LiveWindow:
+        # built under the lock, so racing first reads at a version build it
+        # once; the oldest tick sits at the write head
+        split = self.window_size - self._head
+        ordered = np.empty_like(self._ring)
+        ordered[:, :split] = self._ring[:, self._head :]
+        ordered[:, split:] = self._ring[:, : self._head]
+        window, mask = impute_series(ordered, method=self.impute_method)
+        return LiveWindow(self._version, window, mask)
 
     def snapshot(self) -> dict:
         """Cheap JSON-able gauge block for observability."""

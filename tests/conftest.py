@@ -32,6 +32,33 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def tear_after_build():
+    """Make a stream store's next live read ingest right after building.
+
+    ``tear_after_build(store, values)`` patches ``store.live`` so the first
+    read materializes the current version's window, then ingests ``values``
+    before returning it, the way a concurrent ingest between building and
+    stamping would.  It returns the list of the built records' versions.
+    """
+
+    def install(store, values):
+        built = []
+        original = store.live
+
+        def live():
+            record = original()
+            built.append(record.version)
+            if len(built) == 1:
+                store.ingest(values)
+            return record
+
+        store.live = live
+        return built
+
+    return install
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset() -> TrafficDataset:
     """A very small but structurally complete traffic dataset (shared)."""

@@ -433,6 +433,27 @@ class TestFleetRouter:
         with pytest.raises(RuntimeError, match="closed"):
             router.add_model("m", make_artifact(), SENSORS)
 
+    def test_torn_ingest_stamps_the_version_the_window_was_built_from(
+        self, rng, tear_after_build
+    ):
+        with FleetRouter() as router:
+            router.add_model("city", make_artifact(), SENSORS)
+            warm_router(router, "city", rng)
+            tenant = router._tenant("city")
+            built = tear_after_build(tenant.store, 100.0 + 20.0 * rng.standard_normal(SENSORS))
+            result = router.forecast("city")
+            assert result.source == "model"
+            assert tenant.store.version == built[0] + 1  # the ingest landed mid-request
+            assert tenant.pending[0] == built[0]
+            engine = tenant.primary.engine
+            engine.close()  # joins the batcher: the cache fill has landed
+            assert engine.cache.invalidate_before(built[0]) == 0
+            assert engine.cache.invalidate_before(built[0] + 1) == 1
+            # the forecast was of the tick that has already arrived, so the
+            # next tick's observations are no residual for it
+            router.ingest("city", 100.0 + 20.0 * rng.standard_normal(SENSORS))
+            assert tenant.drift.samples == 0
+
     def test_events_are_stamped_with_tenant_identity(self, rng):
         sink = ListSink()
         with make_router(sink=sink) as router:

@@ -17,9 +17,13 @@ from repro.data.scalers import StandardScaler
 from repro.exec import ExecutorSpec
 from repro.obs import ListSink
 from repro.resilience import CircuitBreaker
+import repro.serve.engine as serve_engine
+import repro.serve.state as serve_state
+from repro.data.imputation import impute_series
 from repro.serve import (
     ForecasterArtifact,
     LatencyHistogram,
+    LiveWindow,
     MicroBatcher,
     PredictionCache,
     ServeConfig,
@@ -204,6 +208,81 @@ class TestStreamStateStore:
             store.ingest(np.zeros(3))  # wrong sensor count
         with pytest.raises(IndexError):
             store.ingest(np.zeros(1), sensor_ids=[7])
+
+
+class TestLiveWindowMemo:
+    def test_matches_rolled_reference_over_seeded_ingests(self):
+        sensors, width, features = 4, 5, 2
+        rng = np.random.default_rng(2024)
+        store = StreamStateStore(num_sensors=sensors, window=width, num_features=features)
+        ring = np.full((sensors, width, features), np.nan)  # independent mirror
+        head = 0
+        for tick in range(50):  # 10 wrap-arounds of the ring
+            values = 100.0 + 20.0 * rng.standard_normal((sensors, features))
+            values[rng.random(values.shape) < 0.2] = np.nan
+            column = np.full((sensors, features), np.nan)
+            if tick % 3 == 2:  # partial tick: a random subset reports
+                ids = np.flatnonzero(rng.random(sensors) < 0.5)
+                store.ingest(values[ids], sensor_ids=ids)
+                column[ids] = values[ids]
+            else:
+                store.ingest(values)
+                column[:] = values
+            ring[:, head, :] = column
+            head = (head + 1) % width
+            expected = impute_series(np.roll(ring, -head, axis=1))
+            for got, want in zip(store.window(), expected):
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_build_and_one_hash_per_version(self, rng, monkeypatch):
+        calls = {"impute": 0, "fingerprint": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(serve_state, "impute_series", counting("impute", impute_series))
+        hashing = counting("fingerprint", fingerprint_window)
+        monkeypatch.setattr(serve_state, "fingerprint_window", hashing)
+        monkeypatch.setattr(serve_engine, "fingerprint_window", hashing)
+        with make_engine(rng) as engine:
+            calls.update(impute=0, fingerprint=0)
+            results = [engine.forecast() for _ in range(8)]
+            records = {id(engine.store.live()) for _ in range(8)}
+            engine.store.window()
+            assert calls == {"impute": 1, "fingerprint": 1}
+            assert len(records) == 1
+            engine.ingest(100.0 + 20.0 * rng.standard_normal(4))
+            engine.forecast()
+            engine.forecast()
+        assert calls == {"impute": 2, "fingerprint": 2}
+        assert [r.source for r in results].count("model") == 1
+
+    def test_live_window_and_mask_are_read_only(self):
+        store = StreamStateStore(num_sensors=2, window=3)
+        store.ingest(np.array([1.0, 2.0]))
+        window, mask = store.window()
+        for array in (window, mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 99.0
+        record = store.live()
+        assert isinstance(record, LiveWindow)
+        assert record.window is window and record.mask is mask
+        assert record.version == store.version
+        assert record.digest == fingerprint_window(window.copy())
+
+    def test_ingest_rebuilds_the_record(self):
+        store = StreamStateStore(num_sensors=1, window=2)
+        store.ingest(np.array([1.0]))
+        before = store.live()
+        store.ingest(np.array([2.0]))
+        after = store.live()
+        assert after is not before and after.version == before.version + 1
+        np.testing.assert_array_equal(before.window[0, :, 0], [0.0, 1.0])  # unchanged
+        np.testing.assert_array_equal(after.window[0, :, 0], [1.0, 2.0])
 
 
 # --------------------------------------------------------------------------- #
@@ -595,6 +674,14 @@ def make_engine(rng, **config_overrides) -> ServingEngine:
     return engine
 
 
+def wait_for_fill(cache: PredictionCache, size: int, timeout: float = 5.0) -> None:
+    """Block until the batcher's cache fill has landed (it runs after the waiter wakes)."""
+    deadline = time.monotonic() + timeout
+    while len(cache) < size:
+        assert time.monotonic() < deadline, "cache fill never landed"
+        time.sleep(0.001)
+
+
 class TestServingEngine:
     def test_model_then_cache(self, rng):
         with make_engine(rng) as engine:
@@ -825,6 +912,29 @@ class TestServingEngine:
         served_by_model = sum(r.source == "model" for r in results)
         assert served_by_model >= 2
         assert engine.batcher.batches_run < served_by_model
+
+    def test_explicit_window_shares_the_live_entry_both_ways(self, rng):
+        with make_engine(rng) as engine:
+            live = engine.forecast()
+            wait_for_fill(engine.cache, 1)
+            explicit = engine.forecast(np.array(engine.store.window()[0]))
+            engine.ingest(100.0 + 20.0 * rng.standard_normal(4))
+            first = engine.forecast(np.array(engine.store.window()[0]))
+            wait_for_fill(engine.cache, 1)
+            second = engine.forecast()
+        assert (live.source, explicit.source) == ("model", "cache")
+        assert (first.source, second.source) == ("model", "cache")
+
+    def test_cache_stamp_is_the_version_the_window_was_built_from(self, rng, tear_after_build):
+        with make_engine(rng) as engine:
+            built = tear_after_build(engine.store, 100.0 + 20.0 * rng.standard_normal(4))
+            result = engine.forecast()
+        assert result.source == "model"
+        assert engine.store.version == built[0] + 1  # the ingest landed mid-request
+        # the fill is stamped with the window's version, so the next
+        # version's invalidation drops it
+        assert engine.cache.invalidate_before(built[0]) == 0
+        assert engine.cache.invalidate_before(built[0] + 1) == 1
 
     def test_shared_store_shape_mismatch_is_rejected(self):
         store = StreamStateStore(num_sensors=3, window=HISTORY)
