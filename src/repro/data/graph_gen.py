@@ -1,4 +1,4 @@
-"""Synthetic road-network generation (networkx substrate).
+"""Synthetic road-network generation.
 
 Real PEMS deployments put loop detectors along highway corridors; sensors on
 the same corridor and direction see strongly correlated, lagged traffic,
@@ -6,15 +6,24 @@ while different corridors have distinct daily profiles (paper Fig. 1).  We
 generate networks with exactly that structure: a set of corridors, each a
 directed chain of sensors, with two travel directions per corridor and a few
 interchange links between corridors.
+
+The weighted ``(N, N)`` adjacency array *is* the network: every model and
+workload reads it directly.  A ``networkx.DiGraph`` view is built on first
+access to :attr:`RoadNetwork.graph`, so only code that asks for it imports
+networkx.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -30,15 +39,32 @@ class SensorMeta:
 
 @dataclass
 class RoadNetwork:
-    """A generated road network: sensors, directed graph, adjacency."""
+    """A road network: sensor metadata plus its weighted adjacency."""
 
     sensors: List[SensorMeta]
-    graph: nx.DiGraph
     adjacency: np.ndarray  # (N, N) weighted, directed (upstream -> downstream)
 
     @property
     def num_sensors(self) -> int:
         return len(self.sensors)
+
+    @cached_property
+    def graph(self) -> "nx.DiGraph":
+        """The network as a ``networkx.DiGraph``, built once on first access.
+
+        One node per sensor carrying its :class:`SensorMeta` fields, and one
+        edge per nonzero adjacency entry carrying that entry as ``weight``.
+        The view is not refreshed if ``adjacency`` is mutated afterwards.
+        """
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        for sensor in self.sensors:
+            graph.add_node(sensor.sensor_id, **sensor.__dict__)
+        rows, cols = np.nonzero(self.adjacency)
+        for row, col in zip(rows.tolist(), cols.tolist()):
+            graph.add_edge(row, col, weight=float(self.adjacency[row, col]))
+        return graph
 
     def corridor_members(self, corridor: int, direction: int) -> List[int]:
         """Sensor ids along one corridor/direction, upstream first."""
@@ -82,10 +108,6 @@ def generate_road_network(
         y = radius * np.sin(angle) - offset * np.cos(angle)
         sensors.append(SensorMeta(sensor_id, corridor, direction, position, (float(x), float(y))))
 
-    graph = nx.DiGraph()
-    for sensor in sensors:
-        graph.add_node(sensor.sensor_id, **sensor.__dict__)
-
     adjacency = np.zeros((num_sensors, num_sensors))
     # chain each corridor/direction
     for corridor in range(num_corridors):
@@ -94,24 +116,27 @@ def generate_road_network(
             chain.sort(key=lambda s: s.position)
             for upstream, downstream in zip(chain[:-1], chain[1:]):
                 weight = float(np.exp(-0.5 * rng.random()))
-                graph.add_edge(upstream.sensor_id, downstream.sensor_id, weight=weight)
                 adjacency[upstream.sensor_id, downstream.sensor_id] = weight
 
     # interchanges between corridors at matching positions
+    at_position: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for sensor in sensors:
+        at_position[sensor.corridor, sensor.position].append(sensor.sensor_id)
     for sensor in sensors:
         if rng.random() < interchange_probability:
             other_corridor = int(rng.integers(num_corridors))
             if other_corridor == sensor.corridor:
                 continue
+            # every sensor of the other corridor within one position, in
+            # sensor-id order (ids grow with position within a corridor)
             candidates = [
-                s
-                for s in sensors
-                if s.corridor == other_corridor and abs(s.position - sensor.position) <= 1
+                sensor_id
+                for position in (sensor.position - 1, sensor.position, sensor.position + 1)
+                for sensor_id in at_position.get((other_corridor, position), ())
             ]
             if candidates:
                 target = candidates[int(rng.integers(len(candidates)))]
                 weight = float(0.3 * np.exp(-0.5 * rng.random()))
-                graph.add_edge(sensor.sensor_id, target.sensor_id, weight=weight)
-                adjacency[sensor.sensor_id, target.sensor_id] = weight
+                adjacency[sensor.sensor_id, target] = weight
 
-    return RoadNetwork(sensors=sensors, graph=graph, adjacency=adjacency)
+    return RoadNetwork(sensors=sensors, adjacency=adjacency)

@@ -19,8 +19,6 @@ from .datasets import TrafficDataset
 from .graph_gen import RoadNetwork, SensorMeta
 from .scalers import StandardScaler
 
-import networkx as nx
-
 PathLike = Union[str, Path]
 
 
@@ -77,13 +75,7 @@ def load_saved_dataset(path: PathLike) -> TrafficDataset:
         )
         for s in header["sensors"]
     ]
-    graph = nx.DiGraph()
-    for sensor in sensors:
-        graph.add_node(sensor.sensor_id, **sensor.__dict__)
-    rows, cols = np.nonzero(adjacency)
-    for row, col in zip(rows, cols):
-        graph.add_edge(int(row), int(col), weight=float(adjacency[row, col]))
-    network = RoadNetwork(sensors=sensors, graph=graph, adjacency=adjacency)
+    network = RoadNetwork(sensors=sensors, adjacency=adjacency)
 
     scaler = StandardScaler()
     scaler.mean = header["scaler_mean"]
@@ -107,6 +99,9 @@ def export_sensor_csv(dataset: TrafficDataset, sensor_id: int, path: PathLike, s
     raw = {"train": dataset.train_raw, "val": dataset.val_raw, "test": dataset.test_raw}
     if split not in raw:
         raise KeyError(f"split must be one of {sorted(raw)}")
+    num_sensors = raw[split].shape[0]
+    if not 0 <= sensor_id < num_sensors:
+        raise ValueError(f"sensor_id {sensor_id} out of range [0, {num_sensors})")
     series = raw[split][sensor_id, :, 0]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -26,7 +26,7 @@ Flow units are vehicles / 5 minutes with magnitudes matching PEMS districts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,13 +104,20 @@ class TrafficSimulator:
         corridor_styles = self._corridor_styles()
         base_flows = self._rng.uniform(cfg.base_flow_low, cfg.base_flow_high, size=cfg.num_sensors)
 
-        for sensor in self.network.sensors:
-            style = corridor_styles[sensor.corridor]
-            profile = self._sensor_profile(hours_of_day, is_weekend, style, sensor.direction)
-            flows[sensor.sensor_id] = base_flows[sensor.sensor_id] * profile
+        chains = {
+            (corridor, direction): self.network.corridor_members(corridor, direction)
+            for corridor in range(cfg.num_corridors)
+            for direction in (0, 1)
+        }
+        # a profile depends only on (corridor, direction): one per chain
+        for (corridor, direction), chain in chains.items():
+            if not chain:
+                continue
+            profile = self._sensor_profile(hours_of_day, is_weekend, corridor_styles[corridor], direction)
+            flows[chain] = base_flows[chain, None] * profile
 
-        self._apply_propagation(flows)
-        self._apply_incidents(flows, total_steps)
+        self._apply_propagation(flows, chains)
+        self._apply_incidents(flows, total_steps, chains)
         flows += self._rng.normal(0.0, cfg.noise_std, size=flows.shape)
         np.maximum(flows, 0.0, out=flows)
         if cfg.missing_rate > 0:
@@ -145,30 +152,39 @@ class TrafficSimulator:
         direction: int,
     ) -> np.ndarray:
         if style["family"] == "bimodal":
-            weekday_profile = _daily_profile_bimodal(hours, style["am_peak"], style["pm_peak"], style["width"])
+            first, second = style["am_peak"], style["pm_peak"]
             if direction == 1:  # outbound: swap peak dominance to the evening
-                weekday_profile = _daily_profile_bimodal(
-                    hours, style["pm_peak"], style["am_peak"], style["width"]
-                )
+                first, second = second, first
+            weekday_profile = _daily_profile_bimodal(hours, first, second, style["width"])
         else:
             peak = style["am_peak"] if direction == 0 else style["pm_peak"]
             weekday_profile = _daily_profile_decay(hours, peak, style["width"])
         weekend_profile = self.config.weekend_scale * _weekend_profile(hours, style["weekend_peak"])
         return np.where(is_weekend, weekend_profile, weekday_profile)
 
-    def _apply_propagation(self, flows: np.ndarray) -> None:
-        """Mix lagged upstream flow into each downstream sensor along corridors."""
-        lag = self.config.propagation_lag
-        strength = self.config.propagation_strength
-        for corridor in range(self.config.num_corridors):
-            for direction in (0, 1):
-                chain = self.network.corridor_members(corridor, direction)
-                for upstream_id, downstream_id in zip(chain[:-1], chain[1:]):
-                    lagged = np.roll(flows[upstream_id], lag)
-                    lagged[:lag] = flows[upstream_id][:lag]
-                    flows[downstream_id] = (1 - strength) * flows[downstream_id] + strength * lagged
+    def _apply_propagation(self, flows: np.ndarray, chains: Dict[Tuple[int, int], List[int]]) -> None:
+        """Mix lagged upstream flow into each downstream sensor along corridors.
 
-    def _apply_incidents(self, flows: np.ndarray, total_steps: int) -> None:
+        Each downstream sensor takes in its upstream neighbour's series
+        delayed by ``lag`` steps; the first ``lag`` steps, which have no past
+        to draw on, take the undelayed values.
+        """
+        lag = self.config.propagation_lag
+        if lag < 0:
+            raise ValueError(f"propagation_lag must be >= 0, got {lag}")
+        strength = self.config.propagation_strength
+        total = flows.shape[1]
+        lag = min(lag, total)
+        for chain in chains.values():
+            for upstream_id, downstream_id in zip(chain[:-1], chain[1:]):
+                upstream, downstream = flows[upstream_id], flows[downstream_id]
+                downstream *= 1 - strength
+                downstream[lag:] += strength * upstream[: total - lag]
+                downstream[:lag] += strength * upstream[:lag]
+
+    def _apply_incidents(
+        self, flows: np.ndarray, total_steps: int, chains: Dict[Tuple[int, int], List[int]]
+    ) -> None:
         """Randomly drop capacity on a stretch of corridor for a while."""
         cfg = self.config
         expected = cfg.incident_rate_per_day * cfg.num_days * cfg.num_corridors
@@ -176,7 +192,7 @@ class TrafficSimulator:
         for _ in range(num_incidents):
             corridor = int(self._rng.integers(cfg.num_corridors))
             direction = int(self._rng.integers(2))
-            chain = self.network.corridor_members(corridor, direction)
+            chain = chains[corridor, direction]
             if len(chain) < 2:
                 continue
             start_idx = int(self._rng.integers(len(chain)))

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import export_sensor_csv, load_saved_dataset, save_dataset
+from repro.data import export_sensor_csv, generate_road_network, load_saved_dataset, save_dataset
+
+from .test_data_synthetic import reference_network
+
+
+def assert_same_graph(graph, expected):
+    assert dict(graph.nodes(data=True)) == dict(expected.nodes(data=True))
+    weights = {(u, v): w for u, v, w in graph.edges(data="weight")}
+    assert weights == {(u, v): w for u, v, w in expected.edges(data="weight")}
+    assert all(type(w) is float for w in weights.values())
 
 
 class TestDatasetRoundtrip:
@@ -44,6 +53,30 @@ class TestDatasetRoundtrip:
         assert loaded.network.corridor_members(0, 0) == tiny_dataset.network.corridor_members(0, 0)
 
 
+class TestGraphView:
+    """``RoadNetwork.graph`` equals the DiGraph the generator used to build eagerly."""
+
+    @pytest.mark.parametrize("num_sensors, num_corridors, seed", [(24, 4, 0), (40, 3, 5), (200, 4, 9)])
+    def test_generated_network(self, num_sensors, num_corridors, seed):
+        network = generate_road_network(num_sensors, num_corridors=num_corridors, seed=seed)
+        _, expected = reference_network(num_sensors, num_corridors, seed)
+        assert expected.number_of_edges() > num_sensors - 2 * num_corridors  # chains + interchanges
+        assert_same_graph(network.graph, expected)
+
+    def test_after_round_trip(self, tiny_dataset, tmp_path):
+        loaded = load_saved_dataset(save_dataset(tiny_dataset, tmp_path / "tiny.npz"))
+        assert "graph" not in vars(loaded.network)  # not built by loading
+        _, expected = reference_network(8, num_corridors=2, seed=7)
+        assert_same_graph(loaded.network.graph, expected)
+
+    def test_built_once_per_network(self):
+        network = generate_road_network(12, seed=1)
+        assert "graph" not in vars(network)
+        graph = network.graph
+        assert network.graph is graph
+        assert generate_road_network(12, seed=1).graph is not graph
+
+
 class TestCsvExport:
     def test_export(self, tiny_dataset, tmp_path):
         path = export_sensor_csv(tiny_dataset, 0, tmp_path / "sensor0.csv")
@@ -60,3 +93,14 @@ class TestCsvExport:
         lines = path.read_text().strip().splitlines()[1:]
         first = float(lines[0].split(",")[1])
         np.testing.assert_allclose(first, tiny_dataset.test_raw[1, 0, 0])
+
+    @pytest.mark.parametrize("sensor_id", [-1, 8, 100])
+    def test_out_of_range_sensor_raises(self, tiny_dataset, tmp_path, sensor_id):
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            export_sensor_csv(tiny_dataset, sensor_id, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_last_sensor_exports(self, tiny_dataset, tmp_path):
+        path = export_sensor_csv(tiny_dataset, 7, tmp_path / "sensor7.csv", split="val")
+        first = float(path.read_text().splitlines()[1].split(",")[1])
+        np.testing.assert_allclose(first, tiny_dataset.val_raw[7, 0, 0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -11,7 +12,8 @@ from repro.data import (
     TrafficSimulator,
     generate_traffic,
 )
-from repro.data.graph_gen import generate_road_network
+from repro.data import synthetic
+from repro.data.graph_gen import RoadNetwork, SensorMeta, generate_road_network
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +146,169 @@ class TestTrafficGeneration:
         a, _ = generate_traffic(SyntheticTrafficConfig(num_sensors=6, num_days=3, seed=1))
         b, _ = generate_traffic(SyntheticTrafficConfig(num_sensors=6, num_days=3, seed=2))
         assert not np.allclose(a, b)
+
+
+# --------------------------------------------------------------------------- #
+# Reference implementation kept as a test oracle: one profile per sensor,
+# ``np.roll`` propagation, a full scan of every sensor per interchange, and
+# a DiGraph built edge by edge alongside the adjacency.  The simulator must
+# reproduce it bit for bit.
+# --------------------------------------------------------------------------- #
+def reference_network(num_sensors, num_corridors=4, seed=0, interchange_probability=0.15):
+    """``(RoadNetwork, eagerly built nx.DiGraph)`` for the given parameters."""
+    rng = np.random.default_rng(seed)
+    lanes = max(1, 2 * num_corridors)
+    sensors = []
+    counters = [0] * lanes
+    for sensor_id in range(num_sensors):
+        lane = sensor_id % lanes
+        corridor, direction = divmod(lane, 2)
+        position = counters[lane]
+        counters[lane] += 1
+        angle = 2.0 * np.pi * corridor / num_corridors
+        radius = 1.0 + position + 0.1 * rng.standard_normal()
+        offset = 0.05 if direction == 0 else -0.05
+        x = radius * np.cos(angle) + offset * np.sin(angle)
+        y = radius * np.sin(angle) - offset * np.cos(angle)
+        sensors.append(SensorMeta(sensor_id, corridor, direction, position, (float(x), float(y))))
+
+    graph = nx.DiGraph()
+    for sensor in sensors:
+        graph.add_node(sensor.sensor_id, **sensor.__dict__)
+    adjacency = np.zeros((num_sensors, num_sensors))
+    for corridor in range(num_corridors):
+        for direction in (0, 1):
+            chain = [s for s in sensors if s.corridor == corridor and s.direction == direction]
+            chain.sort(key=lambda s: s.position)
+            for upstream, downstream in zip(chain[:-1], chain[1:]):
+                weight = float(np.exp(-0.5 * rng.random()))
+                graph.add_edge(upstream.sensor_id, downstream.sensor_id, weight=weight)
+                adjacency[upstream.sensor_id, downstream.sensor_id] = weight
+
+    for sensor in sensors:
+        if rng.random() < interchange_probability:
+            other_corridor = int(rng.integers(num_corridors))
+            if other_corridor == sensor.corridor:
+                continue
+            candidates = [
+                s
+                for s in sensors
+                if s.corridor == other_corridor and abs(s.position - sensor.position) <= 1
+            ]
+            if candidates:
+                target = candidates[int(rng.integers(len(candidates)))]
+                weight = float(0.3 * np.exp(-0.5 * rng.random()))
+                graph.add_edge(sensor.sensor_id, target.sensor_id, weight=weight)
+                adjacency[sensor.sensor_id, target.sensor_id] = weight
+    return RoadNetwork(sensors=sensors, adjacency=adjacency), graph
+
+
+def _reference_profile(cfg, hours, is_weekend, style, direction):
+    if style["family"] == "bimodal":
+        weekday = synthetic._daily_profile_bimodal(hours, style["am_peak"], style["pm_peak"], style["width"])
+        if direction == 1:
+            weekday = synthetic._daily_profile_bimodal(hours, style["pm_peak"], style["am_peak"], style["width"])
+    else:
+        peak = style["am_peak"] if direction == 0 else style["pm_peak"]
+        weekday = synthetic._daily_profile_decay(hours, peak, style["width"])
+    weekend = cfg.weekend_scale * synthetic._weekend_profile(hours, style["weekend_peak"])
+    return np.where(is_weekend, weekend, weekday)
+
+
+def _reference_generate(cfg):
+    network, _ = reference_network(cfg.num_sensors, cfg.num_corridors, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    total_steps = cfg.num_days * STEPS_PER_DAY
+    hours = (np.arange(total_steps) % STEPS_PER_DAY) / synthetic.STEPS_PER_HOUR
+    weekday = ((np.arange(total_steps) // STEPS_PER_DAY) + cfg.start_weekday) % 7
+    is_weekend = weekday >= 5
+
+    flows = np.zeros((cfg.num_sensors, total_steps))
+    styles = []
+    for corridor in range(cfg.num_corridors):
+        styles.append(
+            {
+                "family": "bimodal" if corridor % 2 == 0 else "decay",
+                "am_peak": float(rng.uniform(7.2, 9.0)),
+                "pm_peak": float(rng.uniform(16.3, 18.2)),
+                "width": float(rng.uniform(1.1, 1.8)),
+                "weekend_peak": float(rng.uniform(12.0, 15.0)),
+            }
+        )
+    base_flows = rng.uniform(cfg.base_flow_low, cfg.base_flow_high, size=cfg.num_sensors)
+    for sensor in network.sensors:
+        profile = _reference_profile(cfg, hours, is_weekend, styles[sensor.corridor], sensor.direction)
+        flows[sensor.sensor_id] = base_flows[sensor.sensor_id] * profile
+
+    lag, strength = cfg.propagation_lag, cfg.propagation_strength
+    for corridor in range(cfg.num_corridors):
+        for direction in (0, 1):
+            chain = network.corridor_members(corridor, direction)
+            for upstream_id, downstream_id in zip(chain[:-1], chain[1:]):
+                lagged = np.roll(flows[upstream_id], lag)
+                lagged[:lag] = flows[upstream_id][:lag]
+                flows[downstream_id] = (1 - strength) * flows[downstream_id] + strength * lagged
+
+    expected = cfg.incident_rate_per_day * cfg.num_days * cfg.num_corridors
+    for _ in range(int(rng.poisson(expected))):
+        corridor = int(rng.integers(cfg.num_corridors))
+        direction = int(rng.integers(2))
+        chain = network.corridor_members(corridor, direction)
+        if len(chain) < 2:
+            continue
+        start_idx = int(rng.integers(len(chain)))
+        onset = int(rng.integers(total_steps - cfg.incident_max_steps - 1))
+        duration = int(rng.integers(cfg.incident_min_steps, cfg.incident_max_steps + 1))
+        severity = float(rng.uniform(0.35, 0.75))
+        ramp = np.ones(duration)
+        fade = max(1, duration // 4)
+        ramp[:fade] = np.linspace(1.0, severity, fade)
+        ramp[fade:] = severity
+        ramp[-fade:] = np.linspace(severity, 1.0, fade)
+        for sensor_id in chain[start_idx : start_idx + 3]:
+            flows[sensor_id, onset : onset + duration] *= ramp
+
+    flows += rng.normal(0.0, cfg.noise_std, size=flows.shape)
+    np.maximum(flows, 0.0, out=flows)
+    if cfg.missing_rate > 0:
+        flows[rng.random(flows.shape) < cfg.missing_rate] = 0.0
+    return flows[..., None], network
+
+
+class TestMatchesReferenceSimulator:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SyntheticTrafficConfig(),
+            SyntheticTrafficConfig(num_sensors=2000, num_days=4, seed=7),
+            SyntheticTrafficConfig(num_sensors=40, num_days=3, seed=2, propagation_lag=0),
+            SyntheticTrafficConfig(num_sensors=40, num_days=3, seed=2, propagation_lag=2),
+            SyntheticTrafficConfig(num_sensors=30, num_days=3, seed=4, missing_rate=0.05),
+            SyntheticTrafficConfig(num_sensors=12, num_days=3, seed=6, num_corridors=1),
+        ],
+        ids=["default", "n2000-4days", "lag0", "lag2", "missing", "one-corridor"],
+    )
+    def test_bit_identical(self, config):
+        simulator = TrafficSimulator(config)
+        flows = simulator.generate()
+        expected_flows, expected_network = _reference_generate(config)
+        assert np.array_equal(flows, expected_flows)
+        assert np.array_equal(simulator.network.adjacency, expected_network.adjacency)
+        assert simulator.network.sensors == expected_network.sensors
+
+    def test_reference_exercises_interchanges_and_incidents(self):
+        config = SyntheticTrafficConfig(num_sensors=2000, num_days=4, seed=7)
+        network = TrafficSimulator(config).network
+        corridor = np.array([s.corridor for s in network.sensors])
+        rows, cols = np.nonzero(network.adjacency)
+        assert (corridor[rows] != corridor[cols]).sum() > 100  # interchange edges
+        quiet = SyntheticTrafficConfig(num_sensors=2000, num_days=4, seed=7, noise_std=0.0)
+        calm = SyntheticTrafficConfig(
+            num_sensors=2000, num_days=4, seed=7, noise_std=0.0, incident_rate_per_day=0.0
+        )
+        assert TrafficSimulator(quiet).generate().sum() < TrafficSimulator(calm).generate().sum()
+
+    def test_negative_lag_rejected(self):
+        config = SyntheticTrafficConfig(num_sensors=8, num_days=1, propagation_lag=-1)
+        with pytest.raises(ValueError, match="propagation_lag"):
+            TrafficSimulator(config).generate()

@@ -17,6 +17,7 @@ Usage (from the repo root)::
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import inspect
 import json
@@ -64,10 +65,11 @@ def _describe(obj) -> dict:
             ):
                 methods[name] = _signature(member)
             elif isinstance(
-                inspect.getattr_static(obj, name, None), (property, classmethod, staticmethod)
+                inspect.getattr_static(obj, name, None),
+                (property, functools.cached_property, classmethod, staticmethod),
             ):
                 static = inspect.getattr_static(obj, name)
-                if isinstance(static, property):
+                if isinstance(static, (property, functools.cached_property)):
                     methods[name] = "<property>"
                 else:
                     methods[name] = _signature(member)
