@@ -26,8 +26,7 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 @pytest.fixture(scope="session")
 def settings() -> RunSettings:
     # settings are passed explicitly; REPRO_SCOPE is honoured here (and only
-    # here) so existing benchmark invocations keep working without the
-    # deprecated RunSettings.from_env() side channel
+    # here) so existing benchmark invocations keep working
     return RunSettings.from_scope(os.environ.get("REPRO_SCOPE", "smoke"))
 
 

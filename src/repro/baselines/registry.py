@@ -19,11 +19,8 @@ shape, seed, and free-form hyper-parameter ``overrides``::
                      overrides={"model_dim": 32})
     model = build_from_spec("st-wa", spec)
 
-The legacy positional contract ``builder(dataset, history, horizon, seed)``
-is no longer accepted: :func:`register_model` rejects it with a
-``TypeError`` naming the replacement.  (It was adapted with a
-``DeprecationWarning`` for one release.)  :func:`build_model` keeps its
-historical positional signature on top of the spec API.
+:func:`build_model` keeps its historical positional signature on top of
+the spec API.
 
 Every builder returns a model obeying the common forecaster contract
 (scaled ``(B, N, H, F)`` -> scaled ``(B, N, U, F)``).  ``MODEL_FAMILIES``
@@ -33,7 +30,6 @@ OOM reproduction.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional
 
@@ -112,36 +108,15 @@ class BuildSpec:
 Builder = Callable[[BuildSpec], Module]
 
 
-def _looks_legacy(builder: Callable) -> bool:
-    """Detect the removed 4-positional-argument contract (for the error)."""
-    try:
-        signature = inspect.signature(builder, follow_wrapped=False)
-    except (TypeError, ValueError):
-        return False
-    parameters = [
-        p
-        for p in signature.parameters.values()
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    return len(parameters) >= 4
-
-
 def register_model(name: str, builder: Callable, family: Optional[str] = None) -> None:
     """Register (or replace) a builder under ``name`` (case-insensitive).
 
-    Builders take one :class:`BuildSpec`.  The pre-redesign positional
-    contract ``builder(dataset, history, horizon, seed)`` is rejected with
-    a ``TypeError`` — wrap it yourself::
+    Builders take one :class:`BuildSpec`; wrap a positional builder
+    yourself::
 
         register_model(name, lambda spec: old(spec.dataset, spec.history,
                                               spec.horizon, spec.seed))
     """
-    if _looks_legacy(builder):
-        raise TypeError(
-            f"builder for {name!r} uses the removed positional contract "
-            "(dataset, history, horizon, seed); register a callable taking "
-            "a single BuildSpec instead"
-        )
     MODEL_BUILDERS[name.lower()] = builder
     if family is not None:
         MODEL_FAMILIES[name.lower()] = family

@@ -62,21 +62,73 @@ def topk_neighbors(
     are both "near"), the diagonal is dropped, and each row keeps its ``k``
     strongest neighbors with weights normalized to sum to 1.  Isolated
     sensors get all-zero weights, so their aggregate channel is zero — the
-    shared encoder still sees their own window.  Ties break by sensor id
-    (stable sort) so the reduction is deterministic.
+    shared encoder still sees their own window.
+
+    The result is a stable descending sort of each proximity row, so ties
+    break by sensor id: a row short of ``k`` positive proximities fills up
+    with the lowest ids whose proximity is zero (its own id included, and
+    any pair with ``A[i, j] + A[j, i] == 0``), then with its negative
+    proximities, strongest first.  Only the nonzero entries are read after
+    one ``np.nonzero`` scan, so the cost is O(nnz log nnz + N·k) and no
+    ``(N, N)`` temporary is made.  A non-finite entry raises ``ValueError``.
     """
     dense = np.asarray(adjacency, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {dense.shape}")
     num_sensors = dense.shape[0]
-    proximity = dense + dense.T
-    np.fill_diagonal(proximity, 0.0)
     k = max(1, min(k, num_sensors - 1)) if num_sensors > 1 else 1
-    order = np.argsort(-proximity, axis=1, kind="stable")[:, :k]
-    weights = np.take_along_axis(proximity, order, axis=1)
+    width = min(k, num_sensors)  # 0 only for an empty network
+    rows, cols = np.nonzero(dense)
+    values = dense[rows, cols]
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise ValueError(
+            f"adjacency[{rows[at]}, {cols[at]}] is {values[at]}; weights must be finite"
+        )
+
+    # proximity A[i, j] + A[j, i] off the diagonal, one entry per pair
+    off = rows != cols
+    rows, cols, values = rows[off], cols[off], values[off]
+    key = np.concatenate([rows * num_sensors + cols, cols * num_sensors + rows])
+    values = np.concatenate([values, values])
+    order = np.argsort(key)  # each key occurs at most twice: a + b == b + a
+    key, values = key[order], values[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    proximity = np.add.reduceat(values, first) if first.size else values
+    key = key[first]
+    kept = proximity != 0  # a cancelling pair is a zero, like any absent one
+    key, proximity = key[kept], proximity[kept]
+    rows, cols = np.divmod(key, num_sensors)  # sorted by (row, col)
+
+    counts = np.bincount(rows, minlength=num_sensors)
+    row_start = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    positives = np.bincount(rows[proximity > 0], minlength=num_sensors)
+    from_positives = np.minimum(positives, width)
+    from_zeros = np.minimum(width - from_positives, num_sensors - counts)
+
+    indices = np.zeros((num_sensors, width), dtype=np.int64)
+    weights = np.zeros((num_sensors, width))
+    # nonzero proximities, strongest first: positives lead, negatives trail
+    ranked = np.lexsort((cols, -proximity, rows))
+    r_rows, r_cols, r_prox = rows[ranked], cols[ranked], proximity[ranked]
+    rank = np.arange(len(ranked)) - row_start[r_rows]
+    column = np.where(rank < positives[r_rows], rank, rank + from_zeros[r_rows])
+    take = column < width
+    indices[r_rows[take], column[take]] = r_cols[take]
+    weights[r_rows[take], column[take]] = r_prox[take]
+
+    # the m-th lowest id missing from a row's sorted nonzero columns c_t is
+    # m + #{t : c_t - t <= m}; one searchsorted answers every row at once
+    gaps = rows * num_sensors + cols - (np.arange(len(cols)) - row_start[rows])
+    fill_rows = np.repeat(np.arange(num_sensors), from_zeros)
+    fill_m = np.arange(len(fill_rows)) - np.repeat(np.cumsum(from_zeros) - from_zeros, from_zeros)
+    below = np.searchsorted(gaps, fill_rows * num_sensors + fill_m, side="right")
+    indices[fill_rows, from_positives[fill_rows] + fill_m] = fill_m + below - row_start[fill_rows]
+
     totals = weights.sum(axis=1, keepdims=True)
     weights = weights / np.where(totals > 0, totals, 1.0)
-    return order.astype(np.int64), weights
+    return indices, weights
 
 
 class SimSTForecaster(Module):

@@ -2,8 +2,9 @@
 
 A release-quality dataset pipeline needs reproducible artifacts: these
 helpers freeze a simulated :class:`TrafficDataset` to a single ``.npz``
-(including the adjacency and scaler statistics) and export per-sensor CSVs
-for inspection in external tools.
+(including the road network's edge list and scaler statistics) and export
+per-sensor CSVs for inspection in external tools.  Archives written before
+the edge list, which carry a dense ``adjacency`` instead, still load.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def save_dataset(dataset: TrafficDataset, path: PathLike) -> Path:
         train_raw=dataset.train_raw,
         val_raw=dataset.val_raw,
         test_raw=dataset.test_raw,
-        adjacency=dataset.network.adjacency,
+        edge_src=dataset.network.src,
+        edge_dst=dataset.network.dst,
+        edge_weight=dataset.network.weight,
         header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
     )
     return path
@@ -63,7 +66,11 @@ def load_saved_dataset(path: PathLike) -> TrafficDataset:
         train_raw = archive["train_raw"]
         val_raw = archive["val_raw"]
         test_raw = archive["test_raw"]
-        adjacency = archive["adjacency"]
+        if "adjacency" in archive.files:  # dense layout of older archives
+            adjacency, edges = archive["adjacency"], None
+        else:
+            adjacency = None
+            edges = (archive["edge_src"], archive["edge_dst"], archive["edge_weight"])
 
     sensors = [
         SensorMeta(
@@ -75,7 +82,7 @@ def load_saved_dataset(path: PathLike) -> TrafficDataset:
         )
         for s in header["sensors"]
     ]
-    network = RoadNetwork(sensors=sensors, adjacency=adjacency)
+    network = RoadNetwork(sensors, adjacency, edges=edges)
 
     scaler = StandardScaler()
     scaler.mean = header["scaler_mean"]

@@ -8,10 +8,7 @@ Scopes trade fidelity for wall time (all on the simulated datasets):
 * ``standard`` — the most faithful setting feasible on CPU.
 
 Construct settings explicitly with :meth:`RunSettings.from_scope` (or the
-``smoke()`` / ``quick()`` / ``standard()`` factories).  The historical
-``REPRO_SCOPE`` environment-variable side channel is gone:
-:meth:`RunSettings.from_env` now raises ``RuntimeError`` (it warned for one
-release).
+``smoke()`` / ``quick()`` / ``standard()`` factories) and pass them down.
 """
 
 from __future__ import annotations
@@ -69,20 +66,6 @@ class RunSettings:
         if key not in factories:
             raise KeyError(f"scope must be one of {sorted(factories)}, got {name!r}")
         return factories[key]()
-
-    @classmethod
-    def from_env(cls, default: str = "smoke") -> "RunSettings":
-        """Removed: the ``REPRO_SCOPE`` env side channel no longer exists.
-
-        It made scope selection invisible at call sites; after a release of
-        :class:`DeprecationWarning` it now raises.  Construct settings
-        explicitly with :meth:`from_scope` (or ``smoke()`` / ``quick()`` /
-        ``standard()``) and pass them down.
-        """
-        raise RuntimeError(
-            "RunSettings.from_env()/REPRO_SCOPE has been removed; construct "
-            "settings explicitly with RunSettings.from_scope(name)"
-        )
 
     def with_overrides(self, **kwargs) -> "RunSettings":
         return replace(self, **kwargs)

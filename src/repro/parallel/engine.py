@@ -241,6 +241,27 @@ def _limit_blas_threads(n_threads: int) -> None:
                 break
 
 
+def _trim_heap() -> bool:
+    """Hand the freed part of this process's C heap back to the kernel.
+
+    A forked worker maps every resident page of its parent, so heap the
+    parent has freed but glibc still holds (set-up transients such as a
+    dense adjacency) would be counted again in each worker.  Calls glibc's
+    ``malloc_trim(0)`` and returns whether it could; best effort, like
+    :func:`_limit_blas_threads`: another C library leaves the heap as is.
+    """
+    import ctypes
+
+    try:
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except OSError:
+        return False
+    if trim is None:
+        return False
+    trim(0)
+    return True
+
+
 def available_cores() -> int:
     """CPU cores this process may run on (its affinity mask, where known)."""
     try:
@@ -479,6 +500,8 @@ class WorkerPool:
         self._arena = None  # mmap of the shared batch arena (sensor pools)
         self._arena_view: Optional[np.ndarray] = None  # its float64 view
         self._closed = False
+        if method == "fork":
+            _trim_heap()
         for worker_id in range(config.n_workers):
             init = {
                 "model": model,

@@ -69,6 +69,170 @@ class TestTopkNeighbors:
         np.testing.assert_array_equal(first[1], second[1])
 
 
+def dense_topk_oracle(adjacency, k):
+    """The dense reference: stable argsort of each ``A + Aᵀ`` row, diagonal zeroed."""
+    dense = np.asarray(adjacency, dtype=np.float64)
+    num_sensors = dense.shape[0]
+    proximity = dense + dense.T
+    np.fill_diagonal(proximity, 0.0)
+    k = max(1, min(k, num_sensors - 1)) if num_sensors > 1 else 1
+    order = np.argsort(-proximity, axis=1, kind="stable")[:, :k]
+    weights = np.take_along_axis(proximity, order, axis=1)
+    totals = weights.sum(axis=1, keepdims=True)
+    weights = weights / np.where(totals > 0, totals, 1.0)
+    return order.astype(np.int64), weights
+
+
+def seeded_adjacency(seed):
+    """A small matrix with ties, negatives, cancelling pairs and isolated sensors."""
+    rng = np.random.default_rng(seed)
+    num_sensors = int(rng.integers(1, 16))
+    if rng.random() < 0.5:  # few distinct values: many exact ties
+        values = rng.choice([3.0, 1.0, 0.5, -0.5, -1.0], size=(num_sensors, num_sensors))
+    else:
+        values = rng.standard_normal((num_sensors, num_sensors))
+    adjacency = np.where(rng.random((num_sensors, num_sensors)) < rng.random(), values, 0.0)
+    for _ in range(int(rng.integers(0, 3))):  # A[i, j] + A[j, i] == 0
+        i, j = rng.integers(num_sensors, size=2)
+        if i != j:
+            adjacency[i, j], adjacency[j, i] = 2.0, -2.0
+    for sensor in rng.integers(num_sensors, size=int(rng.integers(0, 3))):
+        adjacency[sensor, :] = adjacency[:, sensor] = 0.0
+    return adjacency, int(rng.integers(1, num_sensors + 3))  # k >= N included
+
+
+class TestTopkMatchesDenseOracle:
+    """The nonzero-only top-k equals the dense stable argsort bit for bit."""
+
+    def assert_matches(self, adjacency, k):
+        indices, weights = topk_neighbors(adjacency, k)
+        expected_indices, expected_weights = dense_topk_oracle(adjacency, k)
+        assert indices.dtype == np.int64
+        assert np.array_equal(indices, expected_indices)
+        assert np.array_equal(weights, expected_weights)
+
+    def test_seeded_matrices(self):
+        for seed in range(300):
+            self.assert_matches(*seeded_adjacency(seed))
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_rows_short_of_positives_fill_zeros_then_negatives(self, k):
+        adjacency = np.zeros((5, 5))
+        adjacency[0, 3] = 1.0  # one positive pair
+        adjacency[0, 1], adjacency[1, 0] = 4.0, -4.0  # cancels to zero
+        adjacency[2, 4] = adjacency[2, 3] = adjacency[2, 0] = -1.0
+        adjacency[2, 1] = -0.5
+        self.assert_matches(adjacency, k)
+        indices, _ = topk_neighbors(adjacency, 4)
+        # row 2: no positives, its own id is the only zero, then negatives
+        assert indices[2].tolist() == [2, 1, 0, 3]
+
+    def test_edge_sizes(self):
+        for adjacency in (np.zeros((0, 0)), np.zeros((1, 1)), np.ones((1, 1)), np.ones((2, 2))):
+            self.assert_matches(adjacency, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        adjacency = np.ones((4, 4))
+        adjacency[2, 1] = bad
+        with pytest.raises(ValueError, match=r"adjacency\[2, 1\]"):
+            topk_neighbors(adjacency, 2)
+
+    def test_simulator_network(self, city):
+        network, model = city
+        adjacency = network.adjacency
+        for k in (1, 2, 8):
+            self.assert_matches(adjacency, k)
+        expected_indices, expected_weights = dense_topk_oracle(adjacency, 8)
+        assert np.array_equal(model._neighbor_idx, expected_indices)
+        assert np.array_equal(model._neighbor_wt, expected_weights)
+        matrix = model._neighbor_matrix
+        n, k = expected_indices.shape
+        assert np.array_equal(matrix.indptr, np.arange(0, n * k + 1, k))
+        assert np.array_equal(matrix.indices, expected_indices.ravel())
+        assert np.array_equal(matrix.data, expected_weights.ravel())
+
+
+CITY_SENSORS = 2000
+
+
+@pytest.fixture(scope="module")
+def city():
+    """The N=2000 simulator network and a SimST built on its dense adjacency."""
+    from repro.data import SyntheticTrafficConfig, TrafficSimulator
+
+    config = SyntheticTrafficConfig(num_sensors=CITY_SENSORS, num_days=4, seed=11)
+    network = TrafficSimulator(config).network
+    model = SimSTForecaster(CITY_SENSORS, network.adjacency, history=12, horizon=12, seed=11)
+    return network, model
+
+
+def held_arrays(*roots):
+    """Every ndarray reachable from ``roots`` through instance state and containers."""
+    import gc
+    import types
+
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, str, bytes)
+    seen, stack, found = set(), list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+            stack.append(obj.base)
+            continue
+        stack.extend(gc.get_referents(obj))
+        stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+class TestNoDenseNetworkState:
+    """At city scale nothing the dataset or SimST keeps is an (N, N) array."""
+
+    def test_no_held_array_has_n_squared_elements(self):
+        from repro.data import (
+            StandardScaler,
+            SyntheticTrafficConfig,
+            TrafficDataset,
+            TrafficSimulator,
+            chronological_split,
+        )
+
+        simulator = TrafficSimulator(
+            SyntheticTrafficConfig(num_sensors=CITY_SENSORS, num_days=4, seed=11)
+        )
+        train_raw, val_raw, test_raw = chronological_split(simulator.generate())
+        scaler = StandardScaler().fit(train_raw)
+        dataset = TrafficDataset(
+            name="CITY", profile="test",
+            train=scaler.transform(train_raw), val=scaler.transform(val_raw),
+            test=scaler.transform(test_raw),
+            train_raw=train_raw, val_raw=val_raw, test_raw=test_raw,
+            scaler=scaler, network=simulator.network,
+        )
+        model = SimSTForecaster(
+            CITY_SENSORS, dataset.adjacency, history=12, horizon=12, seed=11
+        )
+        arrays = held_arrays(dataset, model, simulator)
+        assert any(a is dataset.network.weight for a in arrays)  # the walk reaches the network
+        assert any(a is model._neighbor_idx for a in arrays)
+        largest = max(a.size for a in arrays)
+        assert largest < CITY_SENSORS**2, f"an array of {largest} elements is held"
+
+    def test_adjacency_read_only_and_equal_to_reference(self, city):
+        from .test_data_synthetic import reference_network
+
+        network, _ = city
+        adjacency = network.adjacency
+        assert adjacency.shape == (CITY_SENSORS, CITY_SENSORS)
+        assert not adjacency.flags.writeable
+        expected, _ = reference_network(CITY_SENSORS, seed=11)
+        assert np.array_equal(adjacency, expected.adjacency)
+        assert len(network.weight) < 2 * CITY_SENSORS  # at most two edges per sensor
+
+
 class TestForward:
     @pytest.mark.parametrize("encoder", ["mlp", "gru"])
     def test_output_shape(self, encoder):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,53 @@ class TestDatasetRoundtrip:
     def test_corridor_membership_survives(self, tiny_dataset, tmp_path):
         loaded = load_saved_dataset(save_dataset(tiny_dataset, tmp_path / "tiny.npz"))
         assert loaded.network.corridor_members(0, 0) == tiny_dataset.network.corridor_members(0, 0)
+
+
+class TestArchiveFormats:
+    """The archive carries the edge list; archives with a dense adjacency still load."""
+
+    def test_edge_list_archive_round_trips(self, tiny_dataset, tmp_path):
+        path = save_dataset(tiny_dataset, tmp_path / "tiny.npz")
+        with np.load(path) as archive:
+            assert "adjacency" not in archive.files
+            network = tiny_dataset.network
+            np.testing.assert_array_equal(archive["edge_src"], network.src)
+            np.testing.assert_array_equal(archive["edge_dst"], network.dst)
+            np.testing.assert_array_equal(archive["edge_weight"], network.weight)
+        loaded = load_saved_dataset(path).network
+        for name in ("src", "dst", "weight"):
+            assert np.array_equal(getattr(loaded, name), getattr(network, name))
+            assert getattr(loaded, name).dtype == getattr(network, name).dtype
+        assert np.array_equal(loaded.adjacency, network.adjacency)
+
+    def test_dense_adjacency_archive_loads(self, tiny_dataset, tmp_path):
+        # the layout save_dataset wrote before the edge list
+        header = {
+            "name": tiny_dataset.name,
+            "profile": tiny_dataset.profile,
+            "scaler_mean": tiny_dataset.scaler.mean,
+            "scaler_std": tiny_dataset.scaler.std,
+            "sensors": [
+                {**vars(s), "coordinates": list(s.coordinates)} for s in tiny_dataset.network.sensors
+            ],
+        }
+        path = tmp_path / "dense.npz"
+        np.savez_compressed(
+            path,
+            train_raw=tiny_dataset.train_raw,
+            val_raw=tiny_dataset.val_raw,
+            test_raw=tiny_dataset.test_raw,
+            adjacency=np.array(tiny_dataset.adjacency),
+            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+        )
+        loaded = load_saved_dataset(path)
+        network = tiny_dataset.network
+        for name in ("src", "dst", "weight"):
+            assert np.array_equal(getattr(loaded.network, name), getattr(network, name))
+        assert loaded.network.sensors == network.sensors
+        np.testing.assert_array_equal(loaded.train_raw, tiny_dataset.train_raw)
+        resaved = load_saved_dataset(save_dataset(loaded, tmp_path / "resaved.npz"))
+        assert np.array_equal(resaved.adjacency, tiny_dataset.adjacency)
 
 
 class TestGraphView:

@@ -56,6 +56,61 @@ class TestRoadNetwork:
         np.testing.assert_array_equal(a, b)
 
 
+class TestEdgeList:
+    """A RoadNetwork keeps a sorted edge list and builds dense views on demand."""
+
+    def sensors(self, count):
+        return generate_road_network(count, seed=0).sensors
+
+    def test_edges_sorted_row_major_and_read_only(self):
+        net = generate_road_network(200, seed=3)
+        assert net.src.dtype == net.dst.dtype == np.int64 and net.weight.dtype == np.float64
+        key = net.src * net.num_sensors + net.dst
+        assert np.all(np.diff(key) > 0)
+        assert np.all(net.weight > 0)
+        for array in (net.src, net.dst, net.weight):
+            assert not array.flags.writeable
+
+    def test_adjacency_is_fresh_read_only_and_uncached(self):
+        net = generate_road_network(30, seed=2)
+        first, second = net.adjacency, net.adjacency
+        assert first is not second and not np.shares_memory(first, second)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        assert np.array_equal(first, second)
+        assert np.array_equal(np.flatnonzero(first), net.src * 30 + net.dst)
+        assert "adjacency" not in vars(net)
+
+    def test_dense_round_trip_is_exact(self):
+        dense = np.random.default_rng(0).random((6, 6)) * (np.random.default_rng(1).random((6, 6)) < 0.4)
+        net = RoadNetwork(self.sensors(6), dense)
+        assert np.array_equal(net.adjacency, dense)
+        again = RoadNetwork(self.sensors(6), edges=(net.src, net.dst, net.weight))
+        assert np.array_equal(again.adjacency, dense)
+
+    def test_edges_are_sorted_and_zero_weights_dropped(self):
+        net = RoadNetwork(self.sensors(4), edges=([3, 0, 2, 0], [1, 2, 0, 1], [0.5, 2.0, 0.0, 1.0]))
+        assert net.src.tolist() == [0, 0, 3]
+        assert net.dst.tolist() == [1, 2, 1]
+        assert net.weight.tolist() == [1.0, 2.0, 0.5]
+
+    def test_invalid_edges_rejected(self):
+        sensors = self.sensors(4)
+        with pytest.raises(ValueError, match="more than once"):
+            RoadNetwork(sensors, edges=([0, 1, 0], [1, 2, 1], [1.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="out of range"):
+            RoadNetwork(sensors, edges=([0], [4], [1.0]))
+        with pytest.raises(ValueError, match="length"):
+            RoadNetwork(sensors, edges=([0, 1], [1], [1.0]))
+        with pytest.raises(ValueError, match="exactly one"):
+            RoadNetwork(sensors)
+        with pytest.raises(ValueError, match="exactly one"):
+            RoadNetwork(sensors, np.zeros((4, 4)), edges=([0], [1], [1.0]))
+        with pytest.raises(ValueError, match=r"\(4, 4\)"):
+            RoadNetwork(sensors, np.zeros((3, 3)))
+
+
 class TestTrafficGeneration:
     def test_output_shape_and_nonnegative(self, simulated):
         _, flows = simulated

@@ -24,11 +24,6 @@ class TestRunSettings:
         with pytest.raises(KeyError):
             RunSettings.from_scope("galactic")
 
-    def test_from_env_removed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCOPE", "quick")
-        with pytest.raises(RuntimeError, match="from_scope"):
-            RunSettings.from_env()
-
     def test_with_overrides(self):
         settings = RunSettings.smoke().with_overrides(epochs=9)
         assert settings.epochs == 9 and settings.scope == "smoke"

@@ -557,6 +557,69 @@ def _killed_in_step() -> _KilledInStep:
     )
 
 
+class TestHeapTrim:
+    """A fork pool hands the parent's freed heap back before its workers start."""
+
+    def test_fork_pool_trims_before_the_first_worker_starts(self, monkeypatch):
+        import multiprocessing.process
+
+        from repro.parallel import engine
+
+        events = []
+        monkeypatch.setattr(engine, "_trim_heap", lambda: events.append("trim") or True)
+        start = multiprocessing.process.BaseProcess.start
+
+        def recording_start(process):
+            events.append("start")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+        sharded = ShardedExecutor(blocked_simst(), n_workers=2, start_method="fork").open()
+        sharded.close()
+        assert events == ["trim", "start", "start"]
+
+    def test_trim_runs_on_glibc(self):
+        import platform
+
+        from repro.parallel.engine import _trim_heap
+
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("malloc_trim is glibc's")
+        assert _trim_heap() is True
+
+    def test_missing_malloc_trim_is_a_no_op(self, monkeypatch):
+        import ctypes
+
+        from repro.parallel.engine import _trim_heap
+
+        real_cdll = ctypes.CDLL
+
+        def without_malloc_trim(name, *args, **kwargs):
+            if name is None:
+                return object()  # a C library with no malloc_trim
+            return real_cdll(name, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", without_malloc_trim)
+        assert _trim_heap() is False
+        serial = SerialExecutor(blocked_simst()).open()
+        sharded = ShardedExecutor(blocked_simst(), n_workers=2, start_method="fork").open()
+        try:
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal((16, BLOCK_SENSORS, 4, 1))
+            y = rng.standard_normal((16, BLOCK_SENSORS, 3, 1))
+            expected = serial.train_step(None, (x, y)).loss
+            assert abs(sharded.train_step(None, (x, y)).loss - expected) <= 1e-12
+        finally:
+            sharded.close()
+            serial.close()
+
+        def unloadable(name, *args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        assert _trim_heap() is False
+
+
 class TestSharedArena:
     """Sensor pools take the raw batch from one shared arena, not pickles."""
 

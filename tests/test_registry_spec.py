@@ -1,4 +1,4 @@
-"""BuildSpec construction API: keyword builders, overrides, legacy rejection."""
+"""BuildSpec construction API: keyword builders, overrides, wrapped legacy builders."""
 
 from __future__ import annotations
 
@@ -62,15 +62,6 @@ class TestBuildSpec:
 class TestLegacyRejection:
     def legacy_builder(self, ds, history, horizon, seed):
         return GRUForecaster(history, horizon, hidden_size=4, predictor_hidden=8, seed=seed)
-
-    def test_register_model_rejects_positional_builder(self):
-        with pytest.raises(TypeError, match="BuildSpec"):
-            register_model("legacy-test", self.legacy_builder, family="rnn")
-        assert "legacy-test" not in MODEL_BUILDERS
-
-    def test_error_names_the_builder(self):
-        with pytest.raises(TypeError, match="legacy-named"):
-            register_model("legacy-named", self.legacy_builder)
 
     def test_hand_wrapped_legacy_builder_registers(self, tiny_dataset):
         # the documented migration: close over the old callable yourself
