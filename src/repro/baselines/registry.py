@@ -221,6 +221,19 @@ def _graph(factory):
     return build
 
 
+def _simst(spec: BuildSpec) -> Module:
+    """SimST from the road network's edge list: no dense ``(N, N)`` matrix is built."""
+    network = spec.dataset.network
+    return SimSTForecaster(
+        spec.dataset.num_sensors,
+        history=spec.history,
+        horizon=spec.horizon,
+        seed=spec.seed,
+        edges=(network.src, network.dst, network.weight),
+        **spec.overrides,
+    )
+
+
 def _persistence(spec: BuildSpec) -> Module:
     return PersistenceForecaster(spec.history, spec.horizon, **spec.overrides)
 
@@ -286,7 +299,7 @@ MODEL_BUILDERS: Dict[str, Builder] = {
     # extension: normalizing-flow latents (the paper's stated future work)
     "st-wa-flow": _st_wa_family(make_flow_st_wa, _ST_WA_DEFAULTS),
     # extension: graph-free per-sensor track (SimST), sensor-shardable
-    "simst": _graph(SimSTForecaster),
+    "simst": _simst,
 }
 
 #: architecture family per model, for the analytic memory model (Table VI)

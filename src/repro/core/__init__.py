@@ -21,7 +21,7 @@ from .latent import SpatialLatent, STLatent, TemporalLatentEncoder
 from .loss import STWALoss
 from .model import STWA, STWAConfig
 from .sensor_attention import SensorCorrelationAttention
-from .simst import SimSTForecaster, make_simst, topk_neighbors
+from .simst import SimSTForecaster, make_simst, topk_neighbors, topk_neighbors_from_edges
 from .st_attention import STAttentionConfig, STAwareTransformer
 from .st_gru import STAwareGRU, STGRUConfig
 from .st_tcn import STAwareTCN, STTCNConfig
@@ -67,4 +67,5 @@ __all__ = [
     "SimSTForecaster",
     "make_simst",
     "topk_neighbors",
+    "topk_neighbors_from_edges",
 ]

@@ -34,11 +34,12 @@ The sharded loss/gradient recombine exactly (see DESIGN.md §15): shared
 weights receive the finite-target-weighted mean of shard gradients, and
 embedding rows are touched by exactly one shard.
 
-The neighbor structure is stored as top-``k`` ``(indices, weights)`` pairs
-(and their ``N·k``-entry sparse matrix), never as a dense ``(N, N)``
-operator, so a metro-scale N=10k instance costs kilobytes of proximity
-state instead of gigabytes — neighbors can also be passed in directly
-(``neighbors=(idx, wt)``) when no dense adjacency exists at that scale.
+The neighbor structure is stored as top-``k`` ``(indices, weights)`` pairs,
+never as a dense ``(N, N)`` operator, so a metro-scale N=10k instance costs
+kilobytes of proximity state instead of gigabytes.  It can be derived from
+a road network's edge list (``edges=(src, dst, weight)``, what the
+registry's ``simst`` builder passes) or passed in directly
+(``neighbors=(idx, wt)``), so no dense adjacency need exist at that scale.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from ..nn import GRU, MLP, Module, Parameter
 from ..tensor import Tensor, ops
 
-__all__ = ["SimSTForecaster", "make_simst", "topk_neighbors"]
+__all__ = ["SimSTForecaster", "make_simst", "topk_neighbors", "topk_neighbors_from_edges"]
 
 
 def topk_neighbors(
@@ -71,15 +72,50 @@ def topk_neighbors(
     proximities, strongest first.  Only the nonzero entries are read after
     one ``np.nonzero`` scan, so the cost is O(nnz log nnz + N·k) and no
     ``(N, N)`` temporary is made.  A non-finite entry raises ``ValueError``.
+    :func:`topk_neighbors_from_edges` gives the same result from an edge
+    list, with no dense matrix at all.
     """
     dense = np.asarray(adjacency, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {dense.shape}")
-    num_sensors = dense.shape[0]
+    rows, cols = np.nonzero(dense)
+    return _topk_from_entries(dense.shape[0], rows, cols, dense[rows, cols], k)
+
+
+def topk_neighbors_from_edges(
+    num_sensors: int, src: np.ndarray, dst: np.ndarray, weight: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`topk_neighbors` of the adjacency with ``A[src, dst] = weight``.
+
+    The edge list of a :class:`repro.data.RoadNetwork` (``network.src``,
+    ``network.dst``, ``network.weight``) is the intended input: the result
+    equals ``topk_neighbors(network.adjacency, k)`` bit for bit, without
+    building the ``(N, N)`` matrix.  Edges may come in any order and may
+    carry zero weights; each ``(src, dst)`` pair may appear at most once.
+    """
+    src = np.asarray(src, dtype=np.int64).ravel()
+    dst = np.asarray(dst, dtype=np.int64).ravel()
+    weight = np.asarray(weight, dtype=np.float64).ravel()
+    if not src.shape == dst.shape == weight.shape:
+        raise ValueError(f"edge arrays differ in length: {src.size}, {dst.size}, {weight.size}")
+    ends = np.concatenate([src, dst])
+    if ends.size and (ends.min() < 0 or ends.max() >= num_sensors):
+        raise ValueError(f"edge endpoint out of range for {num_sensors} sensors")
+    if np.unique(src * num_sensors + dst).size != src.size:
+        raise ValueError("an edge (src, dst) is given more than once")
+    return _topk_from_entries(num_sensors, src, dst, weight, k)
+
+
+def _topk_from_entries(
+    num_sensors: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The top-``k`` body shared by the dense and edge-list entries.
+
+    ``(rows, cols, values)`` are distinct adjacency entries; any entry left
+    out is zero.  Zero values among them change nothing.
+    """
     k = max(1, min(k, num_sensors - 1)) if num_sensors > 1 else 1
     width = min(k, num_sensors)  # 0 only for an empty network
-    rows, cols = np.nonzero(dense)
-    values = dense[rows, cols]
     bad = ~np.isfinite(values)
     if bad.any():
         at = int(np.argmax(bad))
@@ -131,6 +167,36 @@ def topk_neighbors(
     return indices, weights
 
 
+#: rows gathered per block by :func:`_neighbor_sum`: at batch 16 and
+#: history 12 a block's ``(rows, k, B·H·F)`` buffer is ~0.8 MB
+AGGREGATE_BLOCK = 64
+
+
+def _neighbor_sum(idx: np.ndarray, wt: np.ndarray, by_sensor: np.ndarray) -> np.ndarray:
+    """``out[r] = Σ_j wt[r, j] · by_sensor[idx[r, j]]``, summed in ``j`` order from 0.
+
+    The order is that of a CSR row product (``0 + w₀x₀ + w₁x₁ + …``), so
+    signed zeros and NaNs come out as they would there.  ``np.take`` runs
+    with ``mode="clip"``: the indices were range-checked when the model was
+    built, and the default ``"raise"`` buffers the whole output (~3x the
+    gather time).
+    """
+    rows, k = idx.shape
+    width = by_sensor.shape[1]
+    if width == 1:
+        # einsum reduces a lone column with an unrolled, reordered sum;
+        # with two columns it walks k in order, one column at a time
+        by_sensor = np.broadcast_to(by_sensor, (by_sensor.shape[0], 2))
+    out = np.empty((rows, by_sensor.shape[1]))
+    buffer = np.empty((min(AGGREGATE_BLOCK, rows), k, by_sensor.shape[1]))
+    for lo in range(0, rows, AGGREGATE_BLOCK):
+        hi = min(lo + AGGREGATE_BLOCK, rows)
+        gathered = buffer[: hi - lo]
+        np.take(by_sensor, idx[lo:hi], axis=0, out=gathered, mode="clip")
+        np.einsum("rk,rkc->rc", wt[lo:hi], gathered, out=out[lo:hi])
+    return out[:, :width]
+
+
 class SimSTForecaster(Module):
     """Per-sensor MLP/GRU over proximity-augmented windows + node embeddings.
 
@@ -150,6 +216,11 @@ class SimSTForecaster(Module):
     neighbors:
         Precomputed ``(indices, weights)`` arrays, each ``(N, k)`` —
         bypasses the dense adjacency entirely (the city-scale path).
+    edges:
+        A directed edge list ``(src, dst, weight)``, reduced with
+        :func:`topk_neighbors_from_edges` — the same neighbors as the
+        adjacency it describes, without building it.  ``neighbors`` wins
+        over ``edges``, which wins over ``adjacency``.
     """
 
     #: contract flag read by :class:`repro.exec.ShardedExecutor`: sensors
@@ -170,6 +241,7 @@ class SimSTForecaster(Module):
         encoder: str = "mlp",
         neighbors: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         seed: int = 0,
+        edges: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ):
         super().__init__()
         if encoder not in ("mlp", "gru"):
@@ -191,21 +263,15 @@ class SimSTForecaster(Module):
                 )
             if idx.size and (idx.min() < 0 or idx.max() >= num_sensors):
                 raise ValueError("neighbor indices out of range")
+        elif edges is not None:
+            idx, wt = topk_neighbors_from_edges(num_sensors, *edges, num_neighbors)
         elif adjacency is not None:
             idx, wt = topk_neighbors(adjacency, num_neighbors)
         else:  # graph-free degenerate case: zero aggregate channel
             idx = np.zeros((num_sensors, 1), dtype=np.int64)
             wt = np.zeros((num_sensors, 1), dtype=np.float64)
-        from scipy import sparse  # only SimST pays for the import
-
         self._neighbor_idx = idx
         self._neighbor_wt = wt
-        # (N, N) CSR of (idx, wt), built here so a pool forked from this
-        # process inherits it instead of every worker building its own
-        n, k = idx.shape
-        self._neighbor_matrix = sparse.csr_matrix(
-            (wt.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n)
-        )
         self._shard: Optional[Tuple[int, int]] = None
 
         self.node_embedding = Parameter(
@@ -256,18 +322,20 @@ class SimSTForecaster(Module):
     ) -> np.ndarray:
         """Append the proximity-aggregate channel: ``(B, N, H, F) -> (B, N, H, 2F)``.
 
-        Pure NumPy/SciPy and fully deterministic — the serial forward and
-        every sharded worker call the *same* routine, which is what makes
-        the sharded step bit-identical in its inputs.  The aggregate is one
-        sparse product: the ``(N, N)`` CSR matrix holding each sensor's
-        top-``k`` ``(index, weight)`` row times the windows laid out as
-        ``(N, B·H·F)``, so no ``(B, N, k, H, F)`` gather is materialised.
+        Pure NumPy and fully deterministic — the serial forward and every
+        sharded worker call the *same* routine, which is what makes the
+        sharded step bit-identical in its inputs.  With the windows laid
+        out as ``(N, B·H·F)``, each output row is the weighted sum of its
+        ``k`` neighbor rows, taken in stored order starting from zero (the
+        zero-weight fill entries included, so a NaN neighbor window still
+        spreads NaN).  Rows are gathered ``AGGREGATE_BLOCK`` at a time into
+        one reused buffer, so no ``(B, N, k, H, F)`` gather is materialised.
 
         The input is always the full network (aggregation reads neighbor
         rows).  ``sensors=(start, stop)`` returns only those rows,
         ``(B, stop - start, H, 2F)``: a sensor-shard worker augments its
         own range from the raw batch, bit-identical to slicing the full
-        result because each output row is the same CSR row product.
+        result because each output row is computed on its own.
         """
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 4 or windows.shape[1] != self.num_sensors:
@@ -280,13 +348,12 @@ class SimSTForecaster(Module):
             raise ValueError(
                 f"sensor range [{start}, {stop}) out of range for N={self.num_sensors}"
             )
-        matrix = self._neighbor_matrix
-        if (start, stop) != (0, self.num_sensors):
-            matrix = matrix[start:stop]
         batch, _, history, features = windows.shape
         rows = stop - start
         by_sensor = windows.transpose(1, 0, 2, 3).reshape(self.num_sensors, -1)
-        aggregate = (matrix @ by_sensor).reshape(rows, batch, history, features)
+        aggregate = _neighbor_sum(
+            self._neighbor_idx[start:stop], self._neighbor_wt[start:stop], by_sensor
+        ).reshape(rows, batch, history, features)
         out = np.empty((batch, rows, history, 2 * features))
         out[..., :features] = windows[:, start:stop]
         out[..., features:] = aggregate.transpose(1, 0, 2, 3)

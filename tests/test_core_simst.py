@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import BuildSpec, build_from_spec
-from repro.core import SimSTForecaster, make_simst, topk_neighbors
+from repro.core import SimSTForecaster, make_simst, topk_neighbors, topk_neighbors_from_edges
 from repro.tensor import Tensor
 
 HISTORY, HORIZON = 6, 4
@@ -146,11 +146,39 @@ class TestTopkMatchesDenseOracle:
         expected_indices, expected_weights = dense_topk_oracle(adjacency, 8)
         assert np.array_equal(model._neighbor_idx, expected_indices)
         assert np.array_equal(model._neighbor_wt, expected_weights)
-        matrix = model._neighbor_matrix
-        n, k = expected_indices.shape
-        assert np.array_equal(matrix.indptr, np.arange(0, n * k + 1, k))
-        assert np.array_equal(matrix.indices, expected_indices.ravel())
-        assert np.array_equal(matrix.data, expected_weights.ravel())
+        windows = special_windows(np.random.default_rng(11), 4, CITY_SENSORS, 3, 1)
+        assert_same_floats(
+            model.augment(windows)[..., 1:],
+            sequential_aggregate(expected_indices, expected_weights, windows),
+        )
+
+    def test_edge_list_entry_matches_dense_entry(self):
+        rng = np.random.default_rng(5)
+        for seed in range(300):
+            adjacency, k = seeded_adjacency(seed)
+            # any edge order, and explicit (signed) zero-weight edges, change nothing
+            listed = (adjacency != 0) | (rng.random(adjacency.shape) < 0.1)
+            src, dst = np.nonzero(listed)
+            weight = adjacency[src, dst]
+            weight[(weight == 0) & (rng.random(src.size) < 0.5)] = -0.0
+            order = rng.permutation(src.size)
+            got = topk_neighbors_from_edges(
+                adjacency.shape[0], src[order], dst[order], weight[order], k
+            )
+            expected = topk_neighbors(adjacency, k)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+
+    def test_edge_list_validation(self):
+        src, dst, weight = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="differ in length"):
+            topk_neighbors_from_edges(3, src, dst[:1], weight, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            topk_neighbors_from_edges(2, src, dst, weight, 2)
+        with pytest.raises(ValueError, match="more than once"):
+            topk_neighbors_from_edges(3, [0, 0], [1, 1], [1.0, 2.0], 2)
+        with pytest.raises(ValueError, match=r"adjacency\[1, 2\]"):
+            topk_neighbors_from_edges(3, src, dst, [1.0, np.nan], 2)
 
 
 CITY_SENSORS = 2000
@@ -231,6 +259,135 @@ class TestNoDenseNetworkState:
         expected, _ = reference_network(CITY_SENSORS, seed=11)
         assert np.array_equal(adjacency, expected.adjacency)
         assert len(network.weight) < 2 * CITY_SENSORS  # at most two edges per sensor
+
+
+def sequential_aggregate(indices, weights, windows):
+    """The aggregate channel summed the slow way: ``0 + w₀x₀ + w₁x₁ + …`` per row."""
+    batch, num_sensors, history, features = windows.shape
+    by_sensor = windows.transpose(1, 0, 2, 3).reshape(num_sensors, -1)
+    total = np.zeros((len(indices), by_sensor.shape[1]))
+    with np.errstate(invalid="ignore"):
+        for column in range(indices.shape[1]):
+            total = total + weights[:, column, None] * by_sensor[indices[:, column]]
+    return total.reshape(len(indices), batch, history, features).transpose(1, 0, 2, 3)
+
+
+def special_windows(rng, batch, num_sensors, history, features):
+    """Random windows sprinkled with NaNs, infinities and negative zeros."""
+    windows = rng.standard_normal((batch, num_sensors, history, features))
+    draw = rng.random(windows.shape)
+    windows[draw < 0.2] = -0.0
+    windows[draw > 0.97] = np.nan
+    windows[(draw > 0.95) & (draw <= 0.96)] = np.inf
+    return windows
+
+
+def assert_same_floats(got, expected):
+    """``==`` plus ``signbit`` wherever a value is a number; NaN in the same places."""
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan], expected[~nan])
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(expected[~nan]))
+
+
+def seeded_neighbors(rng, num_sensors):
+    """Neighbor tables with zero-weight fills, negative zeros and isolated sensors."""
+    k = int(rng.integers(1, 10))
+    indices = rng.integers(num_sensors, size=(num_sensors, k))
+    weights = rng.standard_normal((num_sensors, k))
+    draw = rng.random((num_sensors, k))
+    weights[draw < 0.3] = 0.0
+    weights[draw > 0.9] = -0.0
+    weights[rng.random(num_sensors) < 0.2] = 0.0  # isolated: every weight zero
+    return indices, weights
+
+
+class TestAugmentMatchesSequentialOracle:
+    """``augment`` sums each row's neighbors in stored order, bit for bit."""
+
+    def check(self, seed):
+        rng = np.random.default_rng(seed)
+        num_sensors = int(rng.integers(1, 200))
+        indices, weights = seeded_neighbors(rng, num_sensors)
+        # B·H·F == 1 included: a single aggregated column
+        batch, history, features = (int(v) for v in rng.integers(1, 4, size=3))
+        model = SimSTForecaster(
+            num_sensors, history=history, horizon=2, in_features=features,
+            hidden=4, embedding_dim=2, predictor_hidden=4,
+            neighbors=(indices, weights), seed=seed,
+        )
+        windows = special_windows(rng, batch, num_sensors, history, features)
+        full = model.augment(windows)
+        assert np.array_equal(full[..., :features], windows, equal_nan=True)
+        assert_same_floats(full[..., features:], sequential_aggregate(indices, weights, windows))
+        for _ in range(3):  # ragged ranges are slices of the full result
+            start = int(rng.integers(num_sensors))
+            stop = int(rng.integers(start + 1, num_sensors + 1))
+            part = model.augment(windows, sensors=(start, stop))
+            assert_same_floats(part, full[:, start:stop])
+
+    def test_seeded_tables(self):
+        for seed in range(200):
+            self.check(seed)
+
+    def test_rows_span_several_blocks(self):
+        from repro.core.simst import AGGREGATE_BLOCK
+
+        rng = np.random.default_rng(3)
+        num_sensors = 3 * AGGREGATE_BLOCK + 5
+        indices, weights = seeded_neighbors(rng, num_sensors)
+        model = SimSTForecaster(
+            num_sensors, history=4, horizon=2, hidden=4, embedding_dim=2,
+            predictor_hidden=4, neighbors=(indices, weights),
+        )
+        windows = special_windows(rng, 2, num_sensors, 4, 1)
+        expected = sequential_aggregate(indices, weights, windows)
+        for start, stop in [(0, num_sensors), (1, AGGREGATE_BLOCK + 1), (AGGREGATE_BLOCK, num_sensors)]:
+            got = model.augment(windows, sensors=(start, stop))[..., 1:]
+            assert_same_floats(got, expected[:, start:stop])
+
+    @pytest.mark.parametrize("sensors", [(0, 2000), (0, 1000), (1000, 2000), (17, 1234)])
+    def test_equals_the_csr_product(self, city, sensors):
+        """The formulation it replaced: one SciPy CSR product (skipped without SciPy)."""
+        sparse = pytest.importorskip("scipy.sparse")
+        _, model = city
+        idx, wt = model._neighbor_idx, model._neighbor_wt
+        n, k = idx.shape
+        matrix = sparse.csr_matrix((wt.ravel(), idx.ravel(), np.arange(0, n * k + 1, k)), shape=(n, n))
+        windows = special_windows(np.random.default_rng(33), 16, n, 12, 1)
+        start, stop = sensors
+        by_sensor = windows.transpose(1, 0, 2, 3).reshape(n, -1)
+        expected = (matrix[start:stop] @ by_sensor).reshape(stop - start, 16, 12, 1)
+        got = model.augment(windows, sensors=sensors)[..., 1:]
+        assert_same_floats(got, expected.transpose(1, 0, 2, 3))
+
+
+class TestRegistryBuildsFromEdges:
+    """``build_from_spec("simst")`` reads the edge list, never an (N, N) matrix."""
+
+    def test_neighbors_equal_the_dense_path_without_dense_memory(self, city):
+        import tracemalloc
+
+        from repro.data import StandardScaler, TrafficDataset
+
+        network, dense_model = city
+        split = np.zeros((CITY_SENSORS, 1, 1))
+        dataset = TrafficDataset(
+            name="CITY", profile="test", train=split, val=split, test=split,
+            train_raw=split, val_raw=split, test_raw=split,
+            scaler=StandardScaler().fit(split), network=network,
+        )
+        spec = BuildSpec(dataset=dataset, history=12, horizon=12, seed=11)
+        tracemalloc.start()
+        try:
+            model = build_from_spec("simst", spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(model._neighbor_idx, dense_model._neighbor_idx)
+        assert np.array_equal(model._neighbor_wt, dense_model._neighbor_wt)
+        assert peak < CITY_SENSORS**2 * 8, f"build peaked at {peak} bytes"
 
 
 class TestForward:
