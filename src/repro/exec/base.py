@@ -21,9 +21,9 @@ collapses them onto one seam:
   ``close`` is idempotent and a closed executor may be re-opened.
 
 ``weights`` is either ``None`` — *use the model's current in-process
-weights* — or a state dict to load first; parallel implementations ship it
-to their workers, serial ones load it locally, so callers never care which
-kind they hold.  Anything that wants to extend execution (a compiled
+weights* — or a state dict to load first; every implementation loads it
+into its model, and parallel ones also ship it to their workers, so
+callers never care which kind they hold.  Anything that wants to extend execution (a compiled
 trace-once backend, sensor-sharded spatial ops, batched serving) implements
 this interface once and every caller — Trainer, ServingEngine, the harness
 benches — picks it up for free.
@@ -176,7 +176,7 @@ class Executor(abc.ABC):
         """Forward + backward on ``batch``; gradients land on the model.
 
         ``weights`` of ``None`` uses the executor's current in-process
-        weights; a state dict is loaded (or shipped to workers) first.
+        weights; a state dict is loaded (and shipped to any workers) first.
         Raises ``FloatingPointError`` when the loss is non-finite so the
         resilience layer's rollback/retry machinery works identically
         against every implementation.

@@ -3,8 +3,9 @@
 Wraps :class:`repro.parallel.WorkerPool` + :func:`repro.optim.allreduce`
 behind the :class:`repro.exec.Executor` contract.  Every ``train_step``:
 
-1. serializes the step's weights once through the schema-v2 checkpoint
-   codec (``weights`` arg, or the model's current state when ``None``),
+1. loads the step's ``weights`` into the model when given, then
+   serializes them once through the schema-v2 checkpoint codec (the
+   model's current state when ``None``),
 2. splits the batch into contiguous shards (:func:`repro.parallel.shard_batch`)
    pickled into each worker's pipe,
 3. runs forward/backward on every worker,
@@ -109,6 +110,9 @@ class ParallelExecutor(Executor):
         from ..training import checkpoint as checkpoint_module
 
         x, y = batch
+        if weights is not None:
+            # a sensor pool's own shard computes with the model's weights
+            self.model.load_state_dict(weights)
         serialize_start = time.perf_counter()
         state = weights if weights is not None else self.model.state_dict()
         weights_blob = checkpoint_module.dumps_state_dict(state)

@@ -3,14 +3,24 @@
 :class:`ShardedExecutor` reuses the data-parallel machinery — persistent
 :class:`repro.parallel.WorkerPool`, schema-v2 weight transport, the
 finite-target-count all-reduce — but splits every batch along the sensor
-axis into contiguous ranges (:func:`repro.parallel.shard_sensors`), so each
-worker holds the *whole model* while only ever evaluating its slice of the
-network.  That is the execution shape that scales N past one process: a
-worker steps its slice in cache-sized sensor blocks
+axis into contiguous ranges (:func:`repro.parallel.sensor_shard_ranges`),
+so each shard holds the *whole model* while only ever evaluating its slice
+of the network.  That is the execution shape that scales N past one
+process: a shard is stepped in cache-sized sensor blocks
 (:func:`repro.parallel.engine.sensor_blocks`), so its activation memory is
 ``O(block rows)`` rather than ``O(B·N/K)``, while the graph-free SimST
 track's parameters stay ``O(N·E)`` (see DESIGN.md §15 and
 :class:`repro.training.CapacityPlanner`).
+
+Process topology
+----------------
+``n_workers=K`` means K shards, and the calling process is one of them:
+it computes shard 0 on a private view of its model that shares the
+parameters, while K−1 worker processes compute shards 1…K−1.  Step stats
+keep one ``worker0…worker{K-1}`` entry per shard; ``worker0`` is the
+caller's shard.  A sensor-sharded model must hold no module random
+generators (the caller's shard would draw from the caller's own streams),
+so the executor refuses one.
 
 Exactness (why sensor shards reduce like batch shards)
 ------------------------------------------------------
@@ -19,21 +29,21 @@ partition those elements exactly like batch samples do, so the serial loss
 is the finite-count-weighted mean of shard losses and the serial gradient
 is the same weighted mean of shard gradients — the identical all-reduce
 identity PR 5 proved for the batch axis, merely along axis 1.  Per-sensor
-parameters (SimST's node embeddings) are consistent too: each worker's
+parameters (SimST's node embeddings) are consistent too: each shard's
 embedding gradient is a full-size array that is zero outside its sensor
 rows, so the weighted tree-reduce scatters every row's exact serial
 gradient back onto the parent.
 
 The one cross-sensor coupling SimST has — the proximity-aggregate input
-channel — needs the full network, so the raw batch reaches every worker:
+channel — needs the full network, so the raw batch reaches every shard:
 the parent writes it once into the pool's shared arena
-(:meth:`repro.parallel.WorkerPool.sensor_step`) and each worker calls
+(:meth:`repro.parallel.WorkerPool.sensor_step`) and each shard calls
 :meth:`SimSTForecaster.augment` with its own ``sensors=(start, stop)``
 range, getting only its rows, bit-identical to slicing the full augment.
-Nothing sensor-sized is split or pickled in the parent.  The slowest
-worker's augment time is reported as ``stats["augment"]`` (and in the
-profiler's ``parallel`` section); it is part of that worker's ``workerK``
-time.
+Nothing sensor-sized is split or pickled; the parent augments only its own
+shard's rows.  The slowest shard's augment time is reported as
+``stats["augment"]`` (and in the profiler's ``parallel`` section); it is
+part of that shard's ``workerK`` time.
 
 Axis selection
 --------------
@@ -100,6 +110,17 @@ class ShardedExecutor(ParallelExecutor):
         # a single-sensor network (or a non-shardable model) degrades to
         # batch-axis sharding, which is plain ParallelExecutor semantics
         self.shard_axis = "sensor" if shardable and num_sensors >= 2 else "batch"
+        if self.shard_axis == "sensor":
+            from ..tensor.rng import module_generators
+
+            generators = module_generators(model)
+            if generators:
+                raise ValueError(
+                    f"{type(model).__name__} holds module random generators "
+                    f"({', '.join(generators)}); a sensor-sharded pool computes "
+                    "shard 0 on the caller's model, so it would draw from the "
+                    "caller's own streams"
+                )
         self._ranges: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------ #
@@ -132,7 +153,8 @@ class ShardedExecutor(ParallelExecutor):
 
     @property
     def shard_ranges(self) -> List[Tuple[int, int]]:
-        """The ``[start, stop)`` sensor range each worker owns (open pools)."""
+        """The ``[start, stop)`` sensor range of each shard (open pools);
+        the first is computed in the calling process."""
         return list(self._ranges)
 
     # ------------------------------------------------------------------ #
@@ -154,13 +176,14 @@ class ShardedExecutor(ParallelExecutor):
     # serving: shard-fanout prediction across the same pool
     # ------------------------------------------------------------------ #
     def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:
-        """Fan a forecast out over the shard workers and reassemble.
+        """Fan a forecast out over the shards and reassemble.
 
         Accepts ``(N, H, F)`` or ``(B, N, H, F)`` windows, applies the
         configured scaler around the forward like
         :class:`~repro.exec.inference.InferenceExecutor`, and always ships
         the current parent weights — the workers' copies are stale after
-        any parent-side optimizer step.
+        any parent-side optimizer step.  The caller's own shard reads the
+        model's weights directly.
         """
         self._require_open("predict")
         from ..parallel import unshard_sensors

@@ -47,6 +47,9 @@ class ExecutorSpec:
         trains *and* serves.
     n_workers / start_method / step_timeout:
         Worker-pool knobs, meaningful for ``kind="parallel"``/``"sharded"``.
+        ``n_workers`` counts shards: a sensor-axis pool computes one of
+        them in the calling process and starts ``n_workers - 1`` worker
+        processes; a batch-axis pool starts ``n_workers``.
     prefetch:
         Assemble training batches in a background shared-memory process
         (pooled kinds only; serial assembly is already overlapped by nothing).
@@ -112,6 +115,10 @@ class ExecutorSpec:
         detect_anomaly: bool = False,
         step_timeout: float = 300.0,
     ) -> "ExecutorSpec":
+        """``n_workers`` sensor shards, the caller being one of them: a
+        sensor-shardable model runs shard 0 in the calling process beside
+        ``n_workers - 1`` worker processes (batch-axis fallback: ``n_workers``
+        worker processes)."""
         return cls(
             kind="sharded",
             n_workers=n_workers,

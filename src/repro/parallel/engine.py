@@ -1,7 +1,7 @@
 """Multiprocess data-parallel training engine.
 
-One :class:`WorkerPool` owns N long-lived worker processes.  Every training
-step the parent
+One :class:`WorkerPool` owns the long-lived worker processes of K shards.
+Every training step the parent
 
 1. serializes the current weights once with the schema-v2 checkpoint codec
    (:func:`repro.training.dumps_state_dict` — fork/spawn-safe, no pickled
@@ -15,6 +15,12 @@ step the parent
 5. tree-reduces the shard gradients into the parent model's parameters
    (:func:`repro.optim.all_reduce_gradients`) so a single optimizer step
    applies exactly the gradient serial training would have produced.
+
+Process topology: a batch-axis pool starts K workers.  A sensor-sharded
+pool starts K−1: between steps 3 and 4 the parent computes shard 0 itself,
+on a private view of its own model that shares the parameters
+(:func:`_shard_view`), with the same code a worker runs (:class:`_Shard`).
+Its result is reported as worker 0.
 
 The worker never sees the optimizer: it is a pure
 ``weights, shard -> loss, gradients`` function, which keeps every piece of
@@ -35,7 +41,8 @@ loss, :func:`repro.tensor.detect_anomaly` hit) is re-raised in the parent
 as a ``FloatingPointError`` carrying the worker's message, so
 :class:`repro.resilience.RecoveryPolicy` rollback/retry works unchanged at
 any worker count.  Any other worker failure — including a dead process —
-surfaces as :class:`WorkerError`.
+surfaces as :class:`WorkerError`.  The parent's own shard fails the same
+way, after every child's reply has been read.
 """
 
 from __future__ import annotations
@@ -43,10 +50,11 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,9 +85,11 @@ def default_start_method() -> str:
 class ParallelConfig:
     """Knobs of the data-parallel engine.
 
-    ``step_timeout`` bounds how long the parent waits for any single worker
-    reply before declaring the pool wedged; generous by default because CI
-    machines stall unpredictably under load.
+    ``n_workers`` counts shards: a batch-axis pool starts that many worker
+    processes, a sensor-sharded pool one fewer (the caller computes shard
+    0).  ``step_timeout`` bounds how long the parent waits for any single
+    worker reply before declaring the pool wedged; generous by default
+    because CI machines stall unpredictably under load.
     """
 
     n_workers: int = 2
@@ -208,15 +218,20 @@ def sensor_blocks(
     ]
 
 
-def _limit_blas_threads(n_threads: int) -> None:
-    """Cap every OpenBLAS loaded into this process at ``n_threads``.
+#: OpenBLAS's ``(setter, getter)`` thread-count symbols, by build flavour
+_OPENBLAS_SYMBOLS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+)
 
-    A forked worker inherits BLAS sized for the whole machine, so K workers
-    each running that many threads oversubscribe the cores, and the small
-    per-block GEMMs then spend their time handing work between threads.
-    Environment variables no longer help once BLAS is loaded, so this calls
-    OpenBLAS's own setter.  Best effort: a platform without
-    ``/proc/self/maps`` or another BLAS vendor keeps its default.
+
+def _openblas_controls() -> List[Tuple[object, object]]:
+    """``(set_num_threads, get_num_threads)`` of every OpenBLAS loaded here.
+
+    Found through ``/proc/self/maps`` because environment variables no
+    longer help once BLAS is loaded.  Best effort: a platform without
+    ``/proc/self/maps`` or another BLAS vendor yields no controls.
     """
     import ctypes
 
@@ -224,21 +239,71 @@ def _limit_blas_threads(n_threads: int) -> None:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
     except OSError:
-        return
-    for path in paths:
+        return []
+    controls = []
+    for path in sorted(paths):
         try:
             library = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in (
-            "openblas_set_num_threads",
-            "openblas_set_num_threads64_",
-            "scipy_openblas_set_num_threads64_",
-        ):
-            setter = getattr(library, symbol, None)
-            if setter is not None:
-                setter(int(n_threads))
+        for set_symbol, get_symbol in _OPENBLAS_SYMBOLS:
+            setter = getattr(library, set_symbol, None)
+            getter = getattr(library, get_symbol, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
                 break
+    return controls
+
+
+def _limit_blas_threads(n_threads: int) -> None:
+    """Cap every OpenBLAS loaded into this process at ``n_threads``.
+
+    A forked worker inherits BLAS sized for the whole machine, so K workers
+    each running that many threads oversubscribe the cores, and the small
+    per-block GEMMs then spend their time handing work between threads.
+    """
+    for setter, _ in _openblas_controls():
+        setter(int(n_threads))
+
+
+class _CallerBlasCap:
+    """Caps this process's OpenBLAS while a pool computes its own shard here.
+
+    The thread count is process-wide, so shards computed at the same time
+    on several threads (two pools behind two serving tenants) share one
+    cap: the first to enter saves each library's count and sets the cap,
+    the last to leave restores the saved counts.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved: List[int] = []
+        self._controls: Optional[List[Tuple[object, object]]] = None
+
+    @contextmanager
+    def __call__(self, n_threads: int) -> Iterator[None]:
+        with self._lock:
+            if self._holders == 0:
+                if self._controls is None:
+                    self._controls = _openblas_controls()
+                self._saved = [getter() for _, getter in self._controls]
+                for setter, _ in self._controls:
+                    setter(int(n_threads))
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    for (setter, _), count in zip(self._controls, self._saved):
+                        setter(count)
+
+
+_caller_blas = _CallerBlasCap()
 
 
 def _trim_heap() -> bool:
@@ -302,20 +367,36 @@ def _arena_views(arena: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List[n
     return views
 
 
-def _worker_main(conn, init_blob: bytes) -> None:
-    """Run one worker: receive steps over ``conn`` until told to stop.
+def _shard_view(model):
+    """A private copy of ``model``'s module tree around the same parameters.
 
-    ``init_blob`` pickles a dict with the model, loss settings, the
-    worker's id and the base seed — everything is imported lazily here so a
-    spawn child only pays for what it uses.
+    Every module, flag and buffer is copied, but the view holds the very
+    :class:`~repro.nn.Parameter` objects of ``model``, so it always computes
+    with the model's current weights and its gradients land on them.
+    Setting a sensor shard or a train/eval mode on the view leaves
+    ``model`` as it is, which lets the calling process run a shard while
+    other threads forward the full network.  Forward hooks are not copied:
+    a worker's pickled copy has none either.
+    """
+    import copy
 
-    Two transports carry a batch.  A batch-axis worker receives its shard
-    pickled in the ``"step"``/``"predict"`` message.  A sensor-shard worker
-    receives only the batch shape (``"sensor_step"``/``"sensor_predict"``)
-    and reads the raw batch from the pool's shared arena, mapped read-only
-    when an ``"arena"`` message delivers its descriptor; it then augments
-    its own rows (``model.augment(x, sensors=shard)``) and slices its
-    targets.
+    memo = {id(parameter): parameter for parameter in model.parameters()}
+    view = copy.deepcopy(model, memo)
+    for module in view.modules():
+        object.__setattr__(module, "_forward_pre_hooks", {})
+        object.__setattr__(module, "_forward_hooks", {})
+    return view
+
+
+class _Shard:
+    """The step and the forecast of one shard: the one definition a pool's
+    children run in their loop and a sensor pool's caller runs on shard 0.
+
+    Two transports carry a batch.  A batch-axis shard arrives pickled in
+    the ``"step"``/``"predict"`` message.  A sensor shard gets only the
+    batch shape (``"sensor_step"``/``"sensor_predict"``) and reads the raw
+    batch from the pool's shared arena; it then augments its own rows
+    (``model.augment(x, sensors=shard)``) and slices its targets.
 
     A sensor shard is stepped in :func:`sensor_blocks`: per-sensor models
     treat sensors independently, so each block's loss is backpropagated
@@ -323,79 +404,72 @@ def _worker_main(conn, init_blob: bytes) -> None:
     gradients accumulate into ``parameter.grad`` — the same finite-count
     weighting the all-reduce applies across shards, one level down.
     """
-    import mmap
-    from multiprocessing import reduction
 
-    from ..core.loss import STWALoss
-    from ..tensor import detect_anomaly, rng as rng_module, set_hooks
-    from ..tensor import tensor as tensor_core
-    from ..training import checkpoint as checkpoint_module
+    def __init__(self, model, sensor_shard, *, huber_delta, kl_weight, screen: bool):
+        from ..core.loss import STWALoss
 
-    # a forked child inherits whatever observability hooks the parent had
-    # installed at pool start-up; they would record into a dead copy
-    set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
+        self.model = model
+        self.sensor_shard = None if sensor_shard is None else tuple(sensor_shard)
+        self.parameters = model.parameters()
+        self.loss_fn = STWALoss(delta=huber_delta, kl_weight=kl_weight)
+        self.kl_model = model if hasattr(model, "kl_divergence") else None
+        self.screen = screen
+        model.train()
+        self._restore_shard()
 
-    init = pickle.loads(init_blob)
-    # one share of the cores per worker
-    _limit_blas_threads(max(1, available_cores() // int(init["n_workers"])))
-    model = init["model"]
-    worker_id = int(init["worker_id"])
-    rng_module.reseed_module_generators(model, int(init["seed"]), worker_id)
-    sensor_shard = init.get("sensor_shard")
-    model.train()
-    parameters = model.parameters()
-    loss_fn = STWALoss(delta=init["huber_delta"], kl_weight=init["kl_weight"])
-    kl_model = model if hasattr(model, "kl_divergence") else None
-    screen = bool(init["detect_anomaly"])
-    arena: Optional[np.ndarray] = None  # float64 view of the shared batch
+    def _restore_shard(self) -> None:
+        if self.sensor_shard is not None:
+            self.model.set_sensor_shard(*self.sensor_shard)
 
-    def restore_shard() -> None:
-        if sensor_shard is not None:
-            model.set_sensor_shard(*sensor_shard)
-
-    def inputs(kind: str, payload) -> Tuple[Tuple[np.ndarray, ...], float]:
-        """The worker's ``(x[, y])`` for one message and its augment seconds."""
+    def _inputs(self, kind: str, payload, arena) -> Tuple[Tuple[np.ndarray, ...], float]:
+        """The shard's ``(x[, y])`` for one message and its augment seconds."""
         if not kind.startswith("sensor_"):
             return payload, 0.0
-        start, stop = sensor_shard
+        start, stop = self.sensor_shard
         x, *rest = _arena_views(arena, payload)
         augment_start = time.perf_counter()
-        x = model.augment(x, sensors=sensor_shard)
+        x = self.model.augment(x, sensors=self.sensor_shard)
         seconds = time.perf_counter() - augment_start
         return (x, *(array[:, start:stop] for array in rest)), seconds
 
-    def predict(x_shard: np.ndarray) -> np.ndarray:
+    def predict(self, x_shard: np.ndarray) -> np.ndarray:
+        from ..tensor import Tensor, inference_mode
+
+        model = self.model
         model.eval()
         forecast = None
         try:
-            with tensor_core.inference_mode():
-                for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
+            with inference_mode():
+                for columns, sensor_range in sensor_blocks(self.sensor_shard, len(x_shard)):
                     if sensor_range is not None:
                         model.set_sensor_shard(*sensor_range)
-                    block = model(tensor_core.Tensor(x_shard[:, columns])).data
+                    block = model(Tensor(x_shard[:, columns])).data
                     if forecast is None:
                         forecast = np.empty(x_shard.shape[:2] + block.shape[2:])
                     forecast[:, columns] = block
         finally:
-            restore_shard()
+            self._restore_shard()
             model.train()
         return forecast
 
-    def step(x_shard: np.ndarray, y_shard: np.ndarray) -> Tuple[float, float]:
-        for parameter in parameters:
+    def step(self, x_shard: np.ndarray, y_shard: np.ndarray) -> Tuple[float, float]:
+        from ..tensor import Tensor, detect_anomaly
+
+        model = self.model
+        for parameter in self.parameters:
             parameter.zero_grad()
         finite = np.isfinite(y_shard)
         weight = float(finite.sum())
         value = 0.0
-        guard = detect_anomaly() if screen else nullcontext()
+        guard = detect_anomaly() if self.screen else nullcontext()
         try:
             with guard:
-                for columns, sensor_range in sensor_blocks(sensor_shard, len(x_shard)):
+                for columns, sensor_range in sensor_blocks(self.sensor_shard, len(x_shard)):
                     if sensor_range is not None:
                         model.set_sensor_shard(*sensor_range)
-                    prediction = model(tensor_core.Tensor(x_shard[:, columns]))
-                    loss = loss_fn(
-                        prediction, tensor_core.Tensor(y_shard[:, columns]), model=kl_model
+                    prediction = model(Tensor(x_shard[:, columns]))
+                    loss = self.loss_fn(
+                        prediction, Tensor(y_shard[:, columns]), model=self.kl_model
                     )
                     block_value = float(loss.item())
                     # mirror the serial trainer: a non-finite loss is
@@ -410,10 +484,69 @@ def _worker_main(conn, init_blob: bytes) -> None:
                         loss.backward(np.float64(share))
                     del prediction, loss  # free this block's graph first
         finally:
-            restore_shard()
+            self._restore_shard()
         return value, weight
 
-    restore_shard()
+    def reply(self, message, arena) -> tuple:
+        """Run one ``(kind, weights_blob, *payload)`` message; the reply a
+        worker sends back.
+
+        ``("ok", forecast)`` for a predict, ``("ok", loss, weight, grads,
+        seconds, augment_seconds)`` for a step, ``("raise", "float" |
+        "error", report)`` when it failed.  A ``weights_blob`` of ``None``
+        keeps the model's current weights.
+        """
+        from ..training import checkpoint as checkpoint_module
+
+        kind, weights_blob, *payload = message
+        try:
+            start = time.perf_counter()
+            if weights_blob is not None:
+                self.model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
+            arrays, augment_seconds = self._inputs(kind, payload, arena)
+            if kind.endswith("predict"):
+                return ("ok", self.predict(*arrays))
+            value, weight = self.step(*arrays)
+            grads = [parameter.grad for parameter in self.parameters]
+            return ("ok", value, weight, grads, time.perf_counter() - start, augment_seconds)
+        except FloatingPointError as error:
+            return ("raise", "float", f"{type(error).__name__}: {error}")
+        except Exception as error:  # noqa: BLE001 - full report crosses the pipe
+            return ("raise", "error", f"{type(error).__name__}: {error}")
+
+
+def _worker_main(conn, init_blob: bytes) -> None:
+    """Run one worker: receive messages over ``conn`` until told to stop.
+
+    ``init_blob`` pickles a dict with the model, loss settings, the
+    worker's shard id and the base seed — everything is imported lazily
+    here so a spawn child only pays for what it uses.  Each step or
+    forecast message is answered with :meth:`_Shard.reply`; an ``"arena"``
+    message delivers the descriptor of the pool's shared batch arena, which
+    the worker maps read-only.
+    """
+    import mmap
+    from multiprocessing import reduction
+
+    from ..tensor import rng as rng_module, set_hooks
+
+    # a forked child inherits whatever observability hooks the parent had
+    # installed at pool start-up; they would record into a dead copy
+    set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
+
+    init = pickle.loads(init_blob)
+    # one share of the cores per shard
+    _limit_blas_threads(max(1, available_cores() // int(init["n_workers"])))
+    model = init["model"]
+    rng_module.reseed_module_generators(model, int(init["seed"]), int(init["worker_id"]))
+    shard = _Shard(
+        model,
+        init.get("sensor_shard"),
+        huber_delta=init["huber_delta"],
+        kl_weight=init["kl_weight"],
+        screen=bool(init["detect_anomaly"]),
+    )
+    arena: Optional[np.ndarray] = None  # float64 view of the shared batch
 
     while True:
         try:
@@ -434,38 +567,24 @@ def _worker_main(conn, init_blob: bytes) -> None:
             finally:
                 os.close(fd)
             continue
-        try:
-            start = time.perf_counter()
-            if message[1] is not None:
-                model.load_state_dict(checkpoint_module.loads_state_dict(message[1]))
-            arrays, augment_seconds = inputs(kind, message[2:])
-            if kind.endswith("predict"):
-                reply = ("ok", predict(*arrays))
-            else:
-                value, weight = step(*arrays)
-                grads = [None if p.grad is None else p.grad for p in parameters]
-                reply = (
-                    "ok", value, weight, grads, time.perf_counter() - start, augment_seconds
-                )
-            conn.send(reply)
-        except FloatingPointError as error:
-            conn.send(("raise", "float", f"{type(error).__name__}: {error}"))
-        except Exception as error:  # noqa: BLE001 - full report crosses the pipe
-            conn.send(("raise", "error", f"{type(error).__name__}: {error}"))
+        conn.send(shard.reply(message, arena))
 
 
 # --------------------------------------------------------------------- #
 # parent side
 # --------------------------------------------------------------------- #
 class WorkerPool:
-    """N persistent training workers connected by pipes.
+    """Persistent training workers connected by pipes, one per shard.
 
-    A pool built with ``sensor_ranges`` pins worker ``i`` to the contiguous
-    sensor range ``sensor_ranges[i]`` and also owns a shared arena: one
-    float64 buffer in nameless shared memory (:func:`_anonymous_file`) that
+    A batch-axis pool starts ``n_workers`` children.  A pool built with
+    ``sensor_ranges`` has one shard per range, and the calling process is
+    one of them: it computes shard 0 itself, on a private view of its own
+    model (:func:`_shard_view`), while ``n_workers - 1`` children compute
+    shards ``1 … K-1``.  Such a pool also owns a shared arena: one float64
+    buffer in nameless shared memory (:func:`_anonymous_file`) that
     :meth:`sensor_step` and :meth:`sensor_predict` write the raw batch into
-    once, so each worker receives only the weights and the batch shape.
-    The arena's descriptor goes to every worker over its pipe
+    once, so each child receives only the weights and the batch shape.
+    The arena's descriptor goes to every child over its pipe
     (``multiprocessing.reduction.send_handle``) when the arena is first
     needed, and again only when a batch outgrows it.  :meth:`train_step`
     and :meth:`predict` keep the pickled-shard transport for batch-axis
@@ -500,9 +619,11 @@ class WorkerPool:
         self._arena = None  # mmap of the shared batch arena (sensor pools)
         self._arena_view: Optional[np.ndarray] = None  # its float64 view
         self._closed = False
+        # the shard id of child 0: a sensor pool computes shard 0 itself
+        self._first_child = 0 if sensor_ranges is None else 1
         if method == "fork":
             _trim_heap()
-        for worker_id in range(config.n_workers):
+        for worker_id in range(self._first_child, config.n_workers):
             init = {
                 "model": model,
                 "worker_id": worker_id,
@@ -526,6 +647,16 @@ class WorkerPool:
             child_conn.close()
             self._workers.append(process)
             self._conns.append(parent_conn)
+        self._local: Optional[_Shard] = None
+        if sensor_ranges is not None:
+            self._local = _Shard(
+                _shard_view(model),
+                sensor_ranges[0],
+                huber_delta=huber_delta,
+                kl_weight=kl_weight,
+                screen=config.detect_anomaly,
+            )
+            self._blas_share = max(1, available_cores() // config.n_workers)
 
     @property
     def arena_bytes(self) -> int:
@@ -551,16 +682,22 @@ class WorkerPool:
     def sensor_step(
         self, weights_blob: Optional[bytes], x: np.ndarray, y: np.ndarray
     ) -> List[ShardResult]:
-        """Run one step with every worker on its sensor range of ``(x, y)``.
+        """Run one step with every shard on its sensor range of ``(x, y)``.
 
         ``x`` and ``y`` are the raw full-network batch; they are written
-        once into the shared arena and each worker augments and slices its
-        own rows.  One result per worker, in worker order, with the same
-        failure handling as :meth:`train_step`.
+        once into the shared arena and each shard augments and slices its
+        own rows.  The children start first; then the caller computes
+        shard 0 with the weights its model holds now (``weights_blob``
+        must be those weights, or ``None`` when the children's copies are
+        current), and then every child's reply is collected.  One result
+        per shard, in sensor order, with the same failure handling as
+        :meth:`train_step`.
         """
         shapes = self._write_arena(x, y)
-        self._dispatch([("sensor_step", weights_blob, *shapes)] * self.n_workers)
-        return self._collect_steps(self.n_workers)
+        message = ("sensor_step", weights_blob, *shapes)
+        self._dispatch([message] * len(self._conns))
+        local = self._run_local(message)
+        return self._collect_steps(len(self._conns), local)
 
     def predict(
         self, weights_blob: Optional[bytes], shards: Sequence[np.ndarray]
@@ -580,10 +717,14 @@ class WorkerPool:
 
     def sensor_predict(self, weights_blob: Optional[bytes], x: np.ndarray) -> List[np.ndarray]:
         """Forecast a full-network window through the arena; one
-        ``(B, stop - start, ...)`` forecast per worker, in sensor order."""
+        ``(B, stop - start, ...)`` forecast per shard, in sensor order.
+        Shard 0 is computed in the calling process, as in
+        :meth:`sensor_step`."""
         (shape,) = self._write_arena(x)
-        self._dispatch([("sensor_predict", weights_blob, shape)] * self.n_workers)
-        return self._collect_forecasts(self.n_workers)
+        message = ("sensor_predict", weights_blob, shape)
+        self._dispatch([message] * len(self._conns))
+        local = self._run_local(message)
+        return self._collect_forecasts(len(self._conns), local)
 
     # ------------------------------------------------------------------ #
     def _check_shards(self, shards: Sequence, what: str) -> None:
@@ -618,13 +759,15 @@ class WorkerPool:
         fd = _anonymous_file(nbytes)
         try:
             arena = mmap.mmap(fd, nbytes)
-            for worker_id, (conn, process) in enumerate(zip(self._conns, self._workers)):
-                self._send(worker_id, ("arena", nbytes))
+            for child, (conn, process) in enumerate(zip(self._conns, self._workers)):
+                self._send(child, ("arena", nbytes))
                 try:
                     reduction.send_handle(conn, fd, process.pid)
                 except OSError as error:
                     self.close()
-                    raise WorkerError(f"worker {worker_id} is gone: {error}") from error
+                    raise WorkerError(
+                        f"worker {child + self._first_child} is gone: {error}"
+                    ) from error
         finally:
             os.close(fd)
         self._release_arena()
@@ -640,24 +783,55 @@ class WorkerPool:
             except BufferError:  # a caller still holds a view; GC unmaps it
                 pass
 
-    def _send(self, worker_id: int, message) -> None:
+    def _send(self, child: int, message) -> None:
         try:
-            self._conns[worker_id].send(message)
+            self._conns[child].send(message)
         except OSError as error:  # the worker exited and closed its end
             self.close()
-            raise WorkerError(f"worker {worker_id} is gone: {error}") from error
+            raise WorkerError(
+                f"worker {child + self._first_child} is gone: {error}"
+            ) from error
 
     def _dispatch(self, messages: Sequence[tuple]) -> None:
-        """Send message ``i`` to worker ``i``."""
-        for worker_id, message in enumerate(messages):
-            self._send(worker_id, message)
+        """Send message ``i`` to child ``i``."""
+        for child, message in enumerate(messages):
+            self._send(child, message)
 
-    def _collect_steps(self, count: int) -> List[ShardResult]:
+    def _run_local(self, message) -> tuple:
+        """Compute shard 0 in this process, exactly as a worker would.
+
+        For the length of the shard the calling thread runs without its
+        interceptors (profiler trace, anomaly screen, compile capture,
+        gradient-allocation counter), as a worker clears the ones it
+        inherits, and BLAS runs at a worker's share of the cores; both
+        are restored afterwards.  Returns the worker-style reply.  Anything
+        that escapes it leaves the children's replies unread, so the pool
+        is closed before it propagates.
+        """
+        from ..tensor import set_hooks
+
+        previous = set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
+        try:
+            with _caller_blas(self._blas_share):
+                return self._local.reply((message[0], None, *message[2:]), self._arena_view)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            set_hooks(**previous)
+
+    def _replies(self, count: int, local: Optional[tuple]) -> List[Tuple[int, tuple]]:
+        """``(shard id, reply)`` for the local shard (if any) and the first
+        ``count`` children, in shard order; every child is read."""
+        replies = [] if local is None else [(0, local)]
+        replies += [(child + self._first_child, self._receive(child)) for child in range(count)]
+        return replies
+
+    def _collect_steps(self, count: int, local: Optional[tuple] = None) -> List[ShardResult]:
         results: List[ShardResult] = []
         numerical_failure: Optional[str] = None
         worker_failure: Optional[str] = None
-        for worker_id in range(count):
-            reply = self._receive(worker_id)
+        for worker_id, reply in self._replies(count, local):
             if reply[0] == "ok":
                 _, value, weight, grads, seconds, augment = reply
                 results.append(ShardResult(worker_id, value, weight, grads, seconds, augment))
@@ -671,11 +845,10 @@ class WorkerPool:
             raise FloatingPointError(numerical_failure)
         return results
 
-    def _collect_forecasts(self, count: int) -> List[np.ndarray]:
+    def _collect_forecasts(self, count: int, local: Optional[tuple] = None) -> List[np.ndarray]:
         forecasts: List[np.ndarray] = []
         worker_failure: Optional[str] = None
-        for worker_id in range(count):
-            reply = self._receive(worker_id)
+        for worker_id, reply in self._replies(count, local):
             if reply[0] == "ok":
                 forecasts.append(reply[1])
             else:
@@ -684,8 +857,9 @@ class WorkerPool:
             raise WorkerError(worker_failure)
         return forecasts
 
-    def _receive(self, worker_id: int):
-        conn = self._conns[worker_id]
+    def _receive(self, child: int):
+        conn = self._conns[child]
+        worker_id = child + self._first_child
         if not conn.poll(self.config.step_timeout):
             self.close()
             raise WorkerError(

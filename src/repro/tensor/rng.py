@@ -33,7 +33,12 @@ from zlib import crc32
 
 import numpy as np
 
-__all__ = ["spawn_streams", "worker_seed_sequence", "reseed_module_generators"]
+__all__ = [
+    "module_generators",
+    "spawn_streams",
+    "worker_seed_sequence",
+    "reseed_module_generators",
+]
 
 
 def spawn_streams(seed: int, n: int) -> List[np.random.Generator]:
@@ -63,20 +68,31 @@ def worker_seed_sequence(seed: int, worker_id: int, key: str = "") -> np.random.
     return np.random.SeedSequence(entropy)
 
 
-def reseed_module_generators(model, seed: int, worker_id: int) -> Dict[str, np.random.Generator]:
-    """Replace every generator attribute of ``model`` with a worker stream.
-
-    Walks ``model.named_modules()`` exactly like the Trainer's checkpoint
-    RNG discovery and swaps each :class:`numpy.random.Generator` attribute
-    for a fresh stream keyed on ``(seed, worker_id, qualified name)``.
-    Returns the new generators by qualified name.
-    """
-    replaced: Dict[str, np.random.Generator] = {}
+def module_generators(model) -> Dict[str, np.random.Generator]:
+    """Every :class:`numpy.random.Generator` attribute ``model``'s modules
+    hold, keyed by qualified name (``"encoder.rng"``; a root attribute is
+    its bare name), in ``named_modules()`` order."""
+    found: Dict[str, np.random.Generator] = {}
     for name, module in model.named_modules():
         for attr, value in vars(module).items():
             if isinstance(value, np.random.Generator):
-                qualified = f"{name}.{attr}" if name else attr
-                stream = np.random.default_rng(worker_seed_sequence(seed, worker_id, qualified))
-                setattr(module, attr, stream)
-                replaced[qualified] = stream
+                found[f"{name}.{attr}" if name else attr] = value
+    return found
+
+
+def reseed_module_generators(model, seed: int, worker_id: int) -> Dict[str, np.random.Generator]:
+    """Replace every generator attribute of ``model`` with a worker stream.
+
+    Swaps each generator :func:`module_generators` finds (the Trainer's
+    checkpoint RNG discovery) for a fresh stream keyed on
+    ``(seed, worker_id, qualified name)``.  Returns the new generators by
+    qualified name.
+    """
+    modules = dict(model.named_modules())
+    replaced: Dict[str, np.random.Generator] = {}
+    for qualified in module_generators(model):
+        name, _, attr = qualified.rpartition(".")
+        stream = np.random.default_rng(worker_seed_sequence(seed, worker_id, qualified))
+        setattr(modules[name], attr, stream)
+        replaced[qualified] = stream
     return replaced

@@ -190,8 +190,10 @@ class CapacityPlanner:
     Parameters
     ----------
     budget_gb:
-        Per-process (per-shard-worker) memory budget.  Defaults to the
-        paper's V100.
+        Per-process (per-shard) memory budget.  Defaults to the paper's
+        V100.  A sensor-sharded pool computes one shard in the calling
+        process, so there the shard's step shares the budget with
+        whatever the caller already holds (the dataset, the optimizer).
     dims:
         Template :class:`ModelDims`; ``num_sensors`` is replaced per query.
     bytes_per_element:

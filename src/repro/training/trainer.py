@@ -70,6 +70,7 @@ from ..obs import MetricsSink, NullSink, SafeSink
 from ..optim import Adam, EarlyStopping, clip_grad_norm
 from ..resilience.recovery import LossExplosionError, RecoveryPolicy
 from ..tensor import NumericalAnomalyError
+from ..tensor.rng import module_generators
 from . import checkpoint as checkpoint_module
 from . import metrics as metrics_module
 
@@ -434,12 +435,7 @@ class Trainer:
         latent sampling); discovering them generically keeps checkpointing
         model-agnostic.
         """
-        found: Dict[str, np.random.Generator] = {}
-        for name, module in self.model.named_modules():
-            for attr, value in vars(module).items():
-                if isinstance(value, np.random.Generator):
-                    found[f"{name}.{attr}" if name else attr] = value
-        return found
+        return module_generators(self.model)
 
     def _rng_states(self) -> Dict:
         return {

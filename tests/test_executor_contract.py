@@ -185,6 +185,53 @@ class TestEquivalence:
             other = small_model(tiny_dataset.num_sensors, seed=9).state_dict()
             changed = executor.predict(other, x)
         assert not np.array_equal(changed, baseline)
+        # sensor-sharded predict: the caller's shard and the workers both
+        # forecast with the explicit weights
+        num_sensors = tiny_dataset.num_sensors
+        other = small_simst(num_sensors, seed=9).state_dict()
+        with SerialExecutor(small_simst(num_sensors, seed=9)) as serial:
+            expected = serial.predict(None, x)
+        with ShardedExecutor(small_simst(num_sensors), n_workers=2) as sharded:
+            baseline = sharded.predict(None, x)
+            changed = sharded.predict(other, x)
+        assert not np.array_equal(changed, baseline)
+        np.testing.assert_allclose(changed, expected, rtol=0.0, atol=1e-12)
+
+
+class TestExplicitWeightsOnPools:
+    """``train_step(weights, batch)`` loads ``weights`` into every executor's model."""
+
+    def test_sharded_step_matches_serial_and_loads_the_weights(
+        self, tiny_dataset, seeded_batch
+    ):
+        x, y = seeded_batch
+        num_sensors = tiny_dataset.num_sensors
+        weights = small_simst(num_sensors, seed=9).state_dict()
+        with SerialExecutor(small_simst(num_sensors)) as serial:
+            expected = serial.train_step(weights, (x, y))
+            expected_grads = [None if g is None else g.copy() for g in expected.grads]
+            serial_state = serial.model.state_dict()
+        with ShardedExecutor(small_simst(num_sensors), n_workers=2) as sharded:
+            assert sharded.shard_axis == "sensor"
+            result = sharded.train_step(weights, (x, y))
+            sharded_state = sharded.model.state_dict()
+        np.testing.assert_allclose(result.loss, expected.loss, rtol=RTOL)
+        for left, right in zip(expected_grads, result.grads):
+            assert (left is None) == (right is None)
+            if left is not None:
+                np.testing.assert_allclose(right, left, rtol=RTOL, atol=1e-12)
+        for state in (serial_state, sharded_state):
+            assert state.keys() == weights.keys()
+            for name, value in weights.items():
+                np.testing.assert_array_equal(state[name], value)
+
+    def test_batch_axis_pool_loads_the_weights(self, tiny_dataset, seeded_batch):
+        weights = small_model(tiny_dataset.num_sensors, seed=9).state_dict()
+        with make_exec("parallel", tiny_dataset) as parallel:
+            parallel.train_step(weights, seeded_batch)
+            state = parallel.model.state_dict()
+        for name, value in weights.items():
+            np.testing.assert_array_equal(state[name], value)
 
 
 # --------------------------------------------------------------------- #

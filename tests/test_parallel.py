@@ -10,6 +10,8 @@ splitting, the shared-memory prefetcher, and worker failure translation.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -425,7 +427,7 @@ BLOCK_WIDTH = BLOCK_ROWS // BLOCK_BATCH
 BLOCK_SENSORS = 2 * (3 * BLOCK_WIDTH + 17)
 
 
-def blocked_simst(seed: int = 3) -> SimSTForecaster:
+def blocked_simst(seed: int = 3, encoder: str = "mlp") -> SimSTForecaster:
     adjacency = np.random.default_rng(seed).random((BLOCK_SENSORS, BLOCK_SENSORS))
     return SimSTForecaster(
         BLOCK_SENSORS,
@@ -436,6 +438,7 @@ def blocked_simst(seed: int = 3) -> SimSTForecaster:
         embedding_dim=4,
         predictor_hidden=8,
         num_neighbors=3,
+        encoder=encoder,
         seed=seed,
     )
 
@@ -539,14 +542,14 @@ def _child_pids() -> set:
 
 
 class _KilledInStep(SimSTForecaster):
-    """Blocked SimST whose sensor-0 worker dies of SIGKILL inside a step."""
+    """Blocked SimST whose shard-1 worker dies of SIGKILL inside a step."""
 
     def forward(self, x):
         import os
         import signal
 
         shard = self.sensor_shard
-        if self.training and shard is not None and shard[0] == 0:
+        if self.training and shard is not None and shard[0] == BLOCK_SENSORS // 2:
             os.kill(os.getpid(), signal.SIGKILL)
         return super().forward(x)
 
@@ -574,8 +577,9 @@ class TestHeapTrim:
             start(process)
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
-        sharded = ShardedExecutor(blocked_simst(), n_workers=2, start_method="fork").open()
+        sharded = ShardedExecutor(blocked_simst(), n_workers=3, start_method="fork").open()
         sharded.close()
+        # three shards: the caller computes one, two workers start
         assert events == ["trim", "start", "start"]
 
     def test_trim_runs_on_glibc(self):
@@ -682,7 +686,7 @@ class TestSharedArena:
         sharded = ShardedExecutor(_killed_in_step(), n_workers=2, start_method="fork").open()
         workers = {process.pid for process in sharded._pool._workers}
         x, y = self.draw(16, 0)
-        with pytest.raises(WorkerError, match="worker 0"):
+        with pytest.raises(WorkerError, match="worker 1"):
             sharded.train_step(None, (x, y))
         sharded.close()  # returns: the pool already stopped what was left
         assert not workers & _child_pids()
@@ -698,6 +702,280 @@ class TestSharedArena:
         finally:
             sharded.close()
             serial.close()
+
+
+# --------------------------------------------------------------------- #
+# the caller's shard: K shards, K-1 worker processes, the same results
+# --------------------------------------------------------------------- #
+def graph_free_simst(encoder: str = "mlp", seed: int = 3, cls=SimSTForecaster):
+    """Blocked SimST with no adjacency: every sensor's only (zero-weight)
+    neighbour is sensor 0, so a poisoned sensor other than 0 stays local."""
+    return cls(
+        BLOCK_SENSORS, history=4, horizon=3, hidden=8, embedding_dim=4,
+        predictor_hidden=8, encoder=encoder, seed=seed,
+    )
+
+
+def reference_step(model, x, y, n_shards):
+    """The shard fuzz's manual loop, blocked: each shard augments its rows
+    and steps them in ``sensor_blocks``, then ``all_reduce_gradients``."""
+    from repro.parallel import sensor_shard_ranges
+
+    loss_fn = STWALoss(delta=1.0, kl_weight=0.0)
+    parameters = model.parameters()
+    losses, weights, shard_grads = [], [], []
+    for start, stop in sensor_shard_ranges(model.num_sensors, n_shards):
+        xs, ys = model.augment(x, sensors=(start, stop)), y[:, start:stop]
+        finite = np.isfinite(ys)
+        weight = float(finite.sum())
+        for parameter in parameters:
+            parameter.zero_grad()
+        value = 0.0
+        for columns, block in sensor_blocks((start, stop), len(x)):
+            model.set_sensor_shard(*block)
+            loss = loss_fn(model(Tensor(xs[:, columns])), Tensor(ys[:, columns]))
+            share = float(finite[:, columns].sum()) / weight if weight else 0.0
+            value += share * float(loss.item())
+            if share:
+                loss.backward(np.float64(share))
+        model.clear_sensor_shard()
+        losses.append(value)
+        weights.append(weight)
+        shard_grads.append([None if p.grad is None else p.grad.copy() for p in parameters])
+    total = all_reduce_gradients(parameters, shard_grads, weights)
+    loss = float(np.sum([w * l for w, l in zip(weights, losses)]) / total)
+    return loss, [parameter.grad for parameter in parameters]
+
+
+def reference_forecast(model, x, n_shards):
+    from repro.parallel import sensor_shard_ranges
+    from repro.tensor import inference_mode
+
+    pieces = []
+    model.eval()
+    with inference_mode():
+        for start, stop in sensor_shard_ranges(model.num_sensors, n_shards):
+            xs = model.augment(x, sensors=(start, stop))
+            for columns, block in sensor_blocks((start, stop), len(x)):
+                model.set_sensor_shard(*block)
+                pieces.append(model(Tensor(xs[:, columns])).data)
+    model.clear_sensor_shard()
+    model.train()
+    return np.concatenate(pieces, axis=1)
+
+
+class _Gated(SimSTForecaster):
+    """SimST whose shard forward on a non-main thread waits for a signal."""
+
+    entered = threading.Event()
+    release = threading.Event()
+
+    def forward(self, x):
+        on_side_thread = threading.current_thread() is not threading.main_thread()
+        if self.sensor_shard is not None and on_side_thread:
+            _Gated.entered.set()
+            _Gated.release.wait(30)
+        return super().forward(x)
+
+
+class _BlasProbe(SimSTForecaster):
+    """SimST that records this process's OpenBLAS thread count per shard block."""
+
+    counts: list = []
+
+    def forward(self, x):
+        from repro.parallel.engine import _openblas_controls
+
+        if self.sensor_shard is not None:
+            _BlasProbe.counts.append(_openblas_controls()[0][1]())
+        return super().forward(x)
+
+
+class TestLocalShard:
+    """A K-shard sensor pool computes shard 0 in the caller, beside K-1 workers."""
+
+    def draw(self, seed: int, masked: bool = False):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((BLOCK_BATCH, BLOCK_SENSORS, 4, 1))
+        y = rng.standard_normal((BLOCK_BATCH, BLOCK_SENSORS, 3, 1))
+        if masked:
+            y = np.where(rng.random(y.shape) < 0.3, np.nan, y)
+        return x, y
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_pool_starts_one_worker_fewer_than_shards(self, method, n_shards):
+        from multiprocessing import resource_tracker
+
+        before = _child_pids()
+        sharded = ShardedExecutor(graph_free_simst(), n_workers=n_shards, start_method=method)
+        with sharded:
+            # spawn also starts multiprocessing's resource tracker once
+            started = _child_pids() - before - {resource_tracker._resource_tracker._pid}
+            assert len(sharded.shard_ranges) == n_shards
+            assert started == {process.pid for process in sharded._pool._workers}
+            assert len(started) == n_shards - 1
+            result = sharded.train_step(None, self.draw(0))
+            assert {f"worker{i}" for i in range(n_shards)} <= set(result.stats)
+        assert not started & _child_pids()
+
+    @pytest.mark.parametrize("encoder", ["mlp", "gru"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "nan-masked"])
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_step_and_forecast_equal_the_manual_reference(self, encoder, masked, n_shards):
+        x, y = self.draw(n_shards, masked)
+        reference = blocked_simst(encoder=encoder)
+        expected_loss, expected_grads = reference_step(reference, x, y, n_shards)
+        expected_forecast = reference_forecast(reference, x[:5], n_shards)
+
+        with ShardedExecutor(blocked_simst(encoder=encoder), n_workers=n_shards) as sharded:
+            result = sharded.train_step(None, (x, y))
+            assert result.loss == expected_loss
+            for left, right in zip(expected_grads, result.grads):
+                assert (left is None) == (right is None)
+                if left is not None:
+                    assert np.array_equal(right, left)
+            assert np.array_equal(sharded.predict(None, x[:5]), expected_forecast)
+
+    @pytest.mark.parametrize("poisoned", [1, BLOCK_SENSORS - 1], ids=["local", "child"])
+    def test_non_finite_shard_raises_and_the_pool_recovers(self, poisoned):
+        x, y = self.draw(6)
+        bad = x.copy()
+        bad[:, poisoned] = np.inf
+        reference = graph_free_simst()
+        expected_loss, _ = reference_step(reference, x, y, 2)
+        with ShardedExecutor(graph_free_simst(), n_workers=2) as sharded:
+            with pytest.raises(FloatingPointError):
+                sharded.train_step(None, (bad, y))
+            assert sharded.model.sensor_shard is None
+            assert sharded.train_step(None, (x, y)).loss == expected_loss
+
+    @pytest.mark.parametrize("poisoned, worker", [(1, 0), (BLOCK_SENSORS - 1, 1)])
+    def test_anomaly_screen_names_the_shard(self, poisoned, worker):
+        x, y = self.draw(7)
+        bad = x.copy()
+        bad[:, poisoned] = np.nan
+        with ShardedExecutor(graph_free_simst(), n_workers=2, detect_anomaly=True) as sharded:
+            with pytest.raises(FloatingPointError, match=f"worker {worker}:"):
+                sharded.train_step(None, (bad, y))
+            assert np.isfinite(sharded.train_step(None, (x, y)).loss)
+
+    def test_profiler_records_no_shard_ops(self):
+        from repro.obs import profile
+
+        x, y = self.draw(8)
+        with ShardedExecutor(graph_free_simst(), n_workers=2) as sharded:
+            sharded.train_step(None, (x, y))  # the first step grows the arena
+            with profile(sharded.model) as profiler:
+                sharded.train_step(None, (x, y))
+                sharded.predict(None, x[:2])
+        assert profiler.ops == {}
+        assert profiler.spans == {}
+        assert profiler.grad_allocs == 0
+        assert {"serialize", "reduce", "worker0", "worker1"} <= set(profiler.parallel)
+
+    def test_concurrent_full_forward_sees_no_shard(self):
+        from repro.exec.base import eval_forward
+
+        x, _ = self.draw(9)
+        model = graph_free_simst(cls=_Gated)
+        expected = eval_forward(graph_free_simst(), x[:2])
+        _Gated.entered.clear()
+        _Gated.release.clear()
+        with ShardedExecutor(model, n_workers=2) as sharded:
+            forecasts = []
+            thread = threading.Thread(target=lambda: forecasts.append(sharded.predict(None, x[:2])))
+            thread.start()
+            try:
+                assert _Gated.entered.wait(30)
+                assert model.sensor_shard is None
+                assert np.array_equal(eval_forward(model, x[:2]), expected)
+            finally:
+                _Gated.release.set()
+                thread.join(30)
+        assert np.array_equal(forecasts[0], expected)
+
+    def test_threads_forward_beside_sharded_forecasts(self):
+        """Stress: full-network forwards on three threads while a fourth
+        forecasts through the pool, with a short switch interval."""
+        import sys
+
+        from repro.exec.base import eval_forward
+
+        x, _ = self.draw(11)
+        model = graph_free_simst()
+        expected = eval_forward(graph_free_simst(), x[:2])
+        wrong = []
+
+        def forecasts(sharded):
+            for _ in range(10):
+                if not np.array_equal(sharded.predict(None, x[:2]), expected):
+                    wrong.append("sharded")
+
+        def forwards():
+            for _ in range(10):
+                if model.sensor_shard is not None:
+                    wrong.append("shard visible")
+                if not np.array_equal(eval_forward(model, x[:2]), expected):
+                    wrong.append("full")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedExecutor(model, n_workers=2) as sharded:
+                threads = [threading.Thread(target=forecasts, args=(sharded,))]
+                threads += [threading.Thread(target=forwards) for _ in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_overlapping_caller_caps_restore_once_the_last_leaves(self, monkeypatch):
+        from repro.parallel import engine
+
+        count = [4]
+        controls = [(lambda n: count.__setitem__(0, n), lambda: count[0])]
+        monkeypatch.setattr(engine, "_openblas_controls", lambda: controls)
+        cap = engine._CallerBlasCap()
+        first, second = cap(1), cap(2)
+        first.__enter__()
+        second.__enter__()
+        assert count == [1]  # the first cap holds
+        first.__exit__(None, None, None)
+        assert count == [1]  # still held by the second
+        second.__exit__(None, None, None)
+        assert count == [4]
+
+    def test_caller_blas_threads_capped_then_restored(self):
+        from repro.parallel.engine import _openblas_controls, available_cores
+
+        controls = _openblas_controls()
+        if not controls:
+            pytest.skip("NumPy is not linked against OpenBLAS here")
+        setter, getter = controls[0]
+        share = max(1, available_cores() // 2)
+        before = getter()
+        setter(share + 1)
+        _BlasProbe.counts = []
+        try:
+            with ShardedExecutor(graph_free_simst(cls=_BlasProbe), n_workers=2) as sharded:
+                sharded.train_step(None, self.draw(10))
+                assert getter() == share + 1
+        finally:
+            setter(before)
+        assert _BlasProbe.counts and set(_BlasProbe.counts) == {share}
+
+    def test_model_holding_a_generator_is_refused_by_name(self):
+        from repro.exec import make_executor
+
+        model = graph_free_simst()
+        model.head.noise = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"SimSTForecaster holds .*\(head\.noise\)"):
+            make_executor(model, ExecutorSpec.sharded(n_workers=2))
 
 
 BLAS_CHECK = """
