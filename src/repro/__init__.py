@@ -27,14 +27,16 @@ Subpackages
 ``repro.resilience``
     Fault tolerance: anomaly detection, divergence recovery, fault drills.
 ``repro.exec``
-    The Executor seam: serial / parallel / inference / compiled execution
-    backends selected by ``ExecutorSpec`` (see DESIGN.md "Executor").
+    The Executor seam: serial / inference / compiled / sensor-sharded
+    execution backends selected by ``ExecutorSpec`` (see DESIGN.md
+    "Executor").
 ``repro.compile``
     Trace-once/replay-many compiled execution: captured op streams lowered
     to preallocated instruction programs (``ExecutorSpec(kind="compiled")``).
 ``repro.parallel``
-    Multiprocess data-parallel training: worker pool, gradient all-reduce,
-    shared-memory batch prefetching (``ExecutorSpec.parallel(...)``).
+    Multiprocess sensor-sharded training: worker pool over contiguous
+    sensor ranges, gradient all-reduce, shared-memory batch prefetching
+    (``ExecutorSpec.sharded(...)``, graph-free SimST only).
 ``repro.serve``
     Online inference: artifacts, micro-batching, caching, latency SLOs.
 ``repro.fleet``

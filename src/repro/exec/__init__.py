@@ -1,18 +1,17 @@
 """One Executor API under training and serving (see DESIGN.md "Executor").
 
-Every way this repo runs a model — the serial training loop, the
-multiprocess data-parallel pool, gradient-free inference, micro-batched
-serving — implements one contract:
+Every way this repo runs a model — the serial training loop, compiled
+plans, the sensor-sharded worker pool, gradient-free inference,
+micro-batched serving — implements one contract:
 
 * :class:`Executor` — ``train_step(weights, batch) -> StepResult`` /
   ``predict(weights, inputs) -> outputs`` plus an ``open()``/``close()``
   resource lifecycle (:mod:`repro.exec.base`).
 * :class:`SerialExecutor` — in-process forward/backward.
-* :class:`ParallelExecutor` — batches sharded across a
-  :class:`repro.parallel.WorkerPool`, gradients tree-reduced.
 * :class:`ShardedExecutor` — contiguous *sensor*-dimension sharding over
-  the same pool for ``sensor_shardable`` models (batch-axis fallback
-  otherwise); trains and serves, reassembling shard forecasts.
+  a :class:`repro.parallel.WorkerPool` for ``sensor_shardable`` models
+  (any other model is refused), gradients tree-reduced; trains and
+  serves, reassembling shard forecasts.
 * :class:`InferenceExecutor` — the :class:`repro.tensor.inference_mode`
   graph-free fast path with optional scaler/shape handling; training
   raises.
@@ -35,7 +34,6 @@ from .base import (
     eval_forward,
 )
 from .inference import InferenceExecutor
-from .parallel import ParallelExecutor
 from .serial import SerialExecutor
 from .sharded import ShardedExecutor
 from .spec import EXECUTOR_KINDS, ExecutorSpec, make_executor
@@ -48,7 +46,6 @@ __all__ = [
     "ExecutorStateError",
     "ExecutorSpec",
     "InferenceExecutor",
-    "ParallelExecutor",
     "SerialExecutor",
     "ShardedExecutor",
     "StepResult",

@@ -22,7 +22,7 @@ collapses them onto one seam:
 
 ``weights`` is either ``None`` — *use the model's current in-process
 weights* — or a state dict to load first; every implementation loads it
-into its model, and parallel ones also ship it to their workers, so
+into its model, and the sharded one also ships it to its workers, so
 callers never care which kind they hold.  Anything that wants to extend execution (a compiled
 trace-once backend, sensor-sharded spatial ops, batched serving) implements
 this interface once and every caller — Trainer, ServingEngine, the harness
@@ -202,7 +202,7 @@ class Executor(abc.ABC):
 
         The default is the in-process
         :class:`repro.data.windows.BatchIterator`; implementations that
-        overlap batch assembly with compute (the parallel executor's
+        overlap batch assembly with compute (the sharded executor's
         shared-memory prefetcher) override this.  Both draw the epoch order
         from the caller's ``rng`` with identical consumption, so swapping
         executors never changes which samples land in which batch.

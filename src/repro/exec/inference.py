@@ -54,7 +54,7 @@ class InferenceExecutor(Executor):
     def train_step(self, weights: Weights, batch: Batch) -> StepResult:
         raise ExecutorError(
             "InferenceExecutor cannot train: it exists so serving replicas "
-            "can never accumulate gradients; use a serial or parallel executor"
+            "can never accumulate gradients; use a serial, compiled or sharded executor"
         )
 
     def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:

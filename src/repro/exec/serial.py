@@ -4,7 +4,7 @@ This is the exact step the pre-``repro.exec`` Trainer ran inline — zero
 the gradients, forward, loss (+ KL when the model exposes
 ``kl_divergence``), finite check *before* backward, backward — packaged
 behind the :class:`repro.exec.Executor` contract so the serial path, the
-parallel path, and the future compiled plan are interchangeable.  It holds
+sensor-sharded pool and the compiled plan are interchangeable.  It holds
 no external resources: ``open``/``close`` only drive the lifecycle state
 machine.
 """

@@ -1,9 +1,8 @@
 """Sensor-sharded executor: split the *network*, not the batch.
 
-:class:`ShardedExecutor` reuses the data-parallel machinery — persistent
-:class:`repro.parallel.WorkerPool`, schema-v2 weight transport, the
-finite-target-count all-reduce — but splits every batch along the sensor
-axis into contiguous ranges (:func:`repro.parallel.sensor_shard_ranges`),
+:class:`ShardedExecutor` runs a :class:`repro.parallel.WorkerPool` behind
+the :class:`repro.exec.Executor` contract.  It splits every batch along the
+sensor axis into contiguous ranges (:func:`repro.parallel.sensor_shard_ranges`),
 so each shard holds the *whole model* while only ever evaluating its slice
 of the network.  That is the execution shape that scales N past one
 process: a shard is stepped in cache-sized sensor blocks
@@ -12,70 +11,110 @@ process: a shard is stepped in cache-sized sensor blocks
 track's parameters stay ``O(N·E)`` (see DESIGN.md §15 and
 :class:`repro.training.CapacityPlanner`).
 
+Every ``train_step``:
+
+1. loads the step's ``weights`` into the model when given, then
+   serializes them once through the schema-v2 checkpoint codec (the
+   model's current state when ``None``),
+2. writes the raw batch once into the pool's shared arena and runs every
+   shard's forward/backward (:meth:`repro.parallel.WorkerPool.sensor_step`),
+3. tree-reduces the shard gradients into the model's parameters
+   (:func:`repro.optim.all_reduce_gradients`) and combines the losses as
+   the finite-count-weighted mean — exactly the loss and gradient serial
+   execution produces, merely re-associated.
+
+The pool is a real resource: :meth:`open` starts the worker processes
+(pickling the model exactly once) and :meth:`close` stops them; a closed
+executor can be re-opened, which starts a fresh pool.  Worker/serialize/
+augment/reduce wall times are attributed to the active :mod:`repro.obs`
+profiler's ``parallel`` section and mirrored into :class:`StepResult.stats`.
+
 Process topology
 ----------------
 ``n_workers=K`` means K shards, and the calling process is one of them:
 it computes shard 0 on a private view of its model that shares the
 parameters, while K−1 worker processes compute shards 1…K−1.  Step stats
 keep one ``worker0…worker{K-1}`` entry per shard; ``worker0`` is the
-caller's shard.  A sensor-sharded model must hold no module random
-generators (the caller's shard would draw from the caller's own streams),
-so the executor refuses one.
+caller's shard.
 
-Exactness (why sensor shards reduce like batch shards)
-------------------------------------------------------
+Which models shard
+------------------
+Only a model declaring ``sensor_shardable = True`` (and exposing
+``augment`` / ``set_sensor_shard``) over at least two sensors.  Any other
+model is refused with a ``ValueError`` naming it and the reason — ST-WA,
+whose :class:`SensorCorrelationAttention` mixes sensors inside the
+forward, is one.  So is a model holding module random generators: the
+caller's shard would draw from the caller's own streams.
+
+Exactness
+---------
 The masked-Huber loss is a mean over *finite target elements*.  Sensors
-partition those elements exactly like batch samples do, so the serial loss
-is the finite-count-weighted mean of shard losses and the serial gradient
-is the same weighted mean of shard gradients — the identical all-reduce
-identity PR 5 proved for the batch axis, merely along axis 1.  Per-sensor
-parameters (SimST's node embeddings) are consistent too: each shard's
-embedding gradient is a full-size array that is zero outside its sensor
-rows, so the weighted tree-reduce scatters every row's exact serial
-gradient back onto the parent.
+partition those elements, so the serial loss is the finite-count-weighted
+mean of shard losses and the serial gradient is the same weighted mean of
+shard gradients.  Per-sensor parameters (SimST's node embeddings) are
+consistent too: each shard's embedding gradient is a full-size array that
+is zero outside its sensor rows, so the weighted tree-reduce scatters
+every row's exact serial gradient back onto the model.
 
 The one cross-sensor coupling SimST has — the proximity-aggregate input
-channel — needs the full network, so the raw batch reaches every shard:
-the parent writes it once into the pool's shared arena
-(:meth:`repro.parallel.WorkerPool.sensor_step`) and each shard calls
-:meth:`SimSTForecaster.augment` with its own ``sensors=(start, stop)``
-range, getting only its rows, bit-identical to slicing the full augment.
-Nothing sensor-sized is split or pickled; the parent augments only its own
-shard's rows.  The slowest shard's augment time is reported as
-``stats["augment"]`` (and in the profiler's ``parallel`` section); it is
-part of that shard's ``workerK`` time.
-
-Axis selection
---------------
-Only models declaring ``sensor_shardable = True`` (and exposing
-``augment`` / ``set_sensor_shard``) split along sensors.  For every other
-model — including ST-WA, whose :class:`SensorCorrelationAttention` mixes
-across sensors inside the forward — the executor degrades to batch-axis
-sharding, which is :class:`ParallelExecutor` semantics exactly.  The chosen
-axis is exposed as :attr:`shard_axis` and stamped into step stats.
+channel — needs the full network, so the raw batch reaches every shard
+through the arena and each shard calls :meth:`SimSTForecaster.augment`
+with its own ``sensors=(start, stop)`` range, getting only its rows,
+bit-identical to slicing the full augment.  The slowest shard's augment
+time is reported as ``stats["augment"]``; it is part of that shard's
+``workerK`` time.
 
 ``predict`` fans out across the same pool through the same arena
 (:meth:`repro.parallel.WorkerPool.sensor_predict`) and reassembles with
-:func:`repro.parallel.unshard_sensors`,
-with the scaler/rank/history bookkeeping of
-:class:`repro.exec.InferenceExecutor` so :class:`repro.serve.ServingEngine`
-can put a sharded executor directly behind a tenant.
+:func:`repro.parallel.unshard_sensors`, with the scaler/rank/history
+bookkeeping of :class:`repro.exec.InferenceExecutor` so
+:class:`repro.serve.ServingEngine` can put a sharded executor directly
+behind a tenant.
 """
 
 from __future__ import annotations
 
+import time
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .base import Weights
-from .parallel import ParallelExecutor
+from .base import Batch, Executor, StepResult, Weights
 
 __all__ = ["ShardedExecutor"]
 
 
-class ShardedExecutor(ParallelExecutor):
-    """Sensor-axis (or fallback batch-axis) sharding over a WorkerPool."""
+def _refusal(model) -> Optional[str]:
+    """Why ``model`` cannot be sensor-sharded, naming it; ``None`` if it can."""
+    name = type(model).__name__
+    if not getattr(model, "sensor_shardable", False):
+        return (
+            f"{name} cannot be sensor-sharded: it mixes sensors in its forward "
+            "(it does not declare sensor_shardable)"
+        )
+    num_sensors = int(getattr(model, "num_sensors", 0))
+    if num_sensors < 2:
+        return (
+            f"{name} cannot be sensor-sharded: it has {num_sensors} sensor(s), "
+            "and a sensor-sharded pool needs at least 2"
+        )
+    from ..tensor.rng import module_generators
+
+    generators = module_generators(model)
+    if generators:
+        return (
+            f"{name} holds module random generators ({', '.join(generators)}); "
+            "a sensor-sharded pool computes shard 0 on the caller's model, so it "
+            "would draw from the caller's own streams"
+        )
+    return None
+
+
+class ShardedExecutor(Executor):
+    """Sensor-axis sharding over a WorkerPool; trains and serves."""
+
+    #: the axis a batch is split along (read by the Trainer and benchmarks)
+    shard_axis = "sensor"
 
     def __init__(
         self,
@@ -86,69 +125,50 @@ class ShardedExecutor(ParallelExecutor):
         prefetch: bool = True,
         detect_anomaly: bool = False,
         step_timeout: float = 300.0,
-        seed: int = 0,
         huber_delta: float = 1.0,
         kl_weight: float = 0.0,
         scaler=None,
         history: Optional[int] = None,
     ):
-        super().__init__(
-            model,
-            n_workers=n_workers,
-            start_method=start_method,
-            prefetch=prefetch,
-            detect_anomaly=detect_anomaly,
-            step_timeout=step_timeout,
-            seed=seed,
-            huber_delta=huber_delta,
-            kl_weight=kl_weight,
-        )
+        reason = _refusal(model)
+        if reason is not None:
+            raise ValueError(reason)
+        super().__init__(model)
+        self.n_workers = n_workers
+        self.start_method = start_method
+        self.prefetch = prefetch
+        self.detect_anomaly = detect_anomaly
+        self.step_timeout = step_timeout
+        self.huber_delta = huber_delta
+        self.kl_weight = kl_weight
         self.scaler = scaler
         self.history = None if history is None else int(history)
-        shardable = bool(getattr(model, "sensor_shardable", False))
-        num_sensors = int(getattr(model, "num_sensors", 0))
-        # a single-sensor network (or a non-shardable model) degrades to
-        # batch-axis sharding, which is plain ParallelExecutor semantics
-        self.shard_axis = "sensor" if shardable and num_sensors >= 2 else "batch"
-        if self.shard_axis == "sensor":
-            from ..tensor.rng import module_generators
-
-            generators = module_generators(model)
-            if generators:
-                raise ValueError(
-                    f"{type(model).__name__} holds module random generators "
-                    f"({', '.join(generators)}); a sensor-sharded pool computes "
-                    "shard 0 on the caller's model, so it would draw from the "
-                    "caller's own streams"
-                )
+        self._pool = None
         self._ranges: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------ #
-    # lifecycle: pool sized to the shard plan, workers pinned to ranges
+    # lifecycle: the pool is the resource, one shard per sensor range
     # ------------------------------------------------------------------ #
     def _acquire(self) -> None:
-        if self.shard_axis != "sensor":
-            super()._acquire()
-            return
         from ..parallel import ParallelConfig, WorkerPool, sensor_shard_ranges
 
         self._ranges = sensor_shard_ranges(self.model.num_sensors, self.n_workers)
         self._pool = WorkerPool(
             self.model,
             ParallelConfig(
-                n_workers=len(self._ranges),
                 start_method=self.start_method,
                 detect_anomaly=self.detect_anomaly,
-                seed=self.seed,
                 step_timeout=self.step_timeout,
             ),
+            sensor_ranges=self._ranges,
             huber_delta=self.huber_delta,
             kl_weight=self.kl_weight,
-            sensor_ranges=self._ranges,
         )
 
     def _release(self) -> None:
-        super()._release()
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
         self._ranges = []
 
     @property
@@ -158,19 +178,81 @@ class ShardedExecutor(ParallelExecutor):
         return list(self._ranges)
 
     # ------------------------------------------------------------------ #
-    # training: the raw batch goes to the arena, workers augment their rows
+    # training: the raw batch goes to the arena, shards augment their rows
     # ------------------------------------------------------------------ #
-    def _pool_step(self, weights_blob, x, y, stats):
-        if self.shard_axis != "sensor":
-            return super()._pool_step(weights_blob, x, y, stats)
+    def train_step(self, weights: Weights, batch: Batch) -> StepResult:
+        """One sharded step; the reduced gradient lands on the model."""
+        self._require_open("train_step")
+        from ..obs import current_profiler
+        from ..optim import all_reduce_gradients
+        from ..training import checkpoint as checkpoint_module
+
+        x, y = batch
+        if weights is not None:
+            # the caller's shard computes with the model's weights
+            self.model.load_state_dict(weights)
+        serialize_start = time.perf_counter()
+        state = weights if weights is not None else self.model.state_dict()
+        weights_blob = checkpoint_module.dumps_state_dict(state)
+        stats = {"serialize": time.perf_counter() - serialize_start}
         results = self._pool.sensor_step(weights_blob, x, y)
         stats["augment"] = max(result.augment for result in results)
-        return results
+        reduce_start = time.perf_counter()
+        total = all_reduce_gradients(
+            self._parameters,
+            [result.grads for result in results],
+            [result.weight for result in results],
+        )
+        value = float(
+            np.sum([result.weight * result.loss for result in results]) / total
+        )
+        stats["reduce"] = time.perf_counter() - reduce_start
+        for result in results:
+            stats[f"worker{result.worker_id}"] = result.seconds
+        profiler = current_profiler()
+        if profiler is not None:
+            for name, seconds in stats.items():
+                profiler.record_parallel(name, seconds)
+        stats["shard_axis"] = self.shard_axis
+        if not np.isfinite(value):
+            raise FloatingPointError(
+                f"training diverged: loss became {value}; lower the learning "
+                "rate or tighten grad_clip"
+            )
+        return StepResult(
+            loss=value,
+            grads=[parameter.grad for parameter in self._parameters],
+            stats=stats,
+        )
 
-    def train_step(self, weights, batch):
-        result = super().train_step(weights, batch)
-        result.stats["shard_axis"] = self.shard_axis
-        return result
+    def make_batch_iterator(
+        self,
+        windows,
+        *,
+        batch_size: int,
+        shuffle: bool = True,
+        rng=None,
+        max_batches: Optional[int] = None,
+    ):
+        """Shared-memory prefetching iterator (unless ``prefetch=False``)."""
+        if not self.prefetch:
+            return super().make_batch_iterator(
+                windows,
+                batch_size=batch_size,
+                shuffle=shuffle,
+                rng=rng,
+                max_batches=max_batches,
+            )
+        from ..parallel import PrefetchingBatchIterator
+
+        return PrefetchingBatchIterator(
+            windows,
+            batch_size=batch_size,
+            shuffle=shuffle,
+            rng=rng,
+            max_batches=max_batches,
+            start_method=self.start_method,
+        )
 
     # ------------------------------------------------------------------ #
     # serving: shard-fanout prediction across the same pool
@@ -181,8 +263,8 @@ class ShardedExecutor(ParallelExecutor):
         Accepts ``(N, H, F)`` or ``(B, N, H, F)`` windows, applies the
         configured scaler around the forward like
         :class:`~repro.exec.inference.InferenceExecutor`, and always ships
-        the current parent weights — the workers' copies are stale after
-        any parent-side optimizer step.  The caller's own shard reads the
+        the current weights — the workers' copies are stale after any
+        optimizer step in this process.  The caller's own shard reads the
         model's weights directly.
         """
         self._require_open("predict")
@@ -203,14 +285,7 @@ class ShardedExecutor(ParallelExecutor):
         if self.scaler is not None:
             window = self.scaler.transform(window)
         weights_blob = checkpoint_module.dumps_state_dict(self.model.state_dict())
-        if self.shard_axis == "sensor":
-            forecast = unshard_sensors(self._pool.sensor_predict(weights_blob, window))
-        else:
-            pieces = min(self._pool.n_workers, len(window))
-            shards = [s for s in np.array_split(window, pieces) if len(s)]
-            forecast = np.concatenate(
-                self._pool.predict(weights_blob, shards), axis=0
-            )
+        forecast = unshard_sensors(self._pool.sensor_predict(weights_blob, window))
         if self.scaler is not None:
             forecast = self.scaler.inverse_transform(forecast)
         return forecast[0] if squeeze else forecast

@@ -1,13 +1,13 @@
 """Executor selection: a declarative spec + the factory that builds one.
 
 :class:`ExecutorSpec` is the single configuration surface for *how* a model
-executes — serial in-process, sharded across a multiprocess worker pool, or
-gradient-free inference — independent of *what* runs (the model, the loss,
-the dataset).  :class:`repro.training.TrainerConfig` carries one, the
+executes — serial in-process, compiled, sensor-sharded across a
+multiprocess worker pool, or gradient-free inference — independent of
+*what* runs (the model, the loss, the dataset).  :class:`repro.training.TrainerConfig` carries one, the
 serving plane builds one per artifact, and the harness benches sweep them.
 
 >>> from repro.exec import ExecutorSpec, make_executor
->>> spec = ExecutorSpec.parallel(n_workers=4)
+>>> spec = ExecutorSpec.sharded(n_workers=4)
 >>> executor = make_executor(model, spec, huber_delta=1.0, kl_weight=0.02)
 >>> with executor:
 ...     result = executor.train_step(None, (x, y))
@@ -21,10 +21,7 @@ from typing import Optional
 __all__ = ["EXECUTOR_KINDS", "ExecutorSpec", "make_executor"]
 
 #: the execution strategies the factory knows how to build
-EXECUTOR_KINDS = ("serial", "parallel", "inference", "compiled", "sharded")
-
-#: kinds whose executor is backed by a multiprocess worker pool
-_POOLED_KINDS = ("parallel", "sharded")
+EXECUTOR_KINDS = ("serial", "inference", "compiled", "sharded")
 
 
 @dataclass(frozen=True)
@@ -35,24 +32,22 @@ class ExecutorSpec:
     ----------
     kind:
         ``"serial"`` — in-process forward/backward;
-        ``"parallel"`` — every batch sharded across ``n_workers`` worker
-        processes (:mod:`repro.parallel`), gradients tree-reduced;
         ``"inference"`` — gradient-free prediction only (training raises);
         ``"compiled"`` — trace-once/replay-many compiled plans
         (:mod:`repro.compile`), falling back to the interpreted executors
         for unsupported or shape-changing steps;
         ``"sharded"`` — contiguous sensor-dimension sharding across a
-        worker pool (:class:`repro.exec.ShardedExecutor`): sensor-axis for
-        ``sensor_shardable`` models (SimST), batch-axis fallback otherwise;
-        trains *and* serves.
+        worker pool (:class:`repro.exec.ShardedExecutor`), gradients
+        tree-reduced; only for ``sensor_shardable`` models (SimST) —
+        building one over any other model raises ``ValueError``; trains
+        *and* serves.
     n_workers / start_method / step_timeout:
-        Worker-pool knobs, meaningful for ``kind="parallel"``/``"sharded"``.
-        ``n_workers`` counts shards: a sensor-axis pool computes one of
-        them in the calling process and starts ``n_workers - 1`` worker
-        processes; a batch-axis pool starts ``n_workers``.
+        Worker-pool knobs, meaningful for ``kind="sharded"`` only.
+        ``n_workers`` counts shards: the pool computes one of them in the
+        calling process and starts ``n_workers - 1`` worker processes.
     prefetch:
         Assemble training batches in a background shared-memory process
-        (pooled kinds only; serial assembly is already overlapped by nothing).
+        (sharded kind only; serial assembly is already overlapped by nothing).
     detect_anomaly:
         Per-op NaN/Inf screening during training steps (slow; debugging).
     """
@@ -69,14 +64,13 @@ class ExecutorSpec:
             raise ValueError(
                 f"executor kind must be one of {EXECUTOR_KINDS}, got {self.kind!r}"
             )
-        if self.kind in _POOLED_KINDS and self.n_workers < 2:
+        if self.kind == "sharded" and self.n_workers < 2:
             raise ValueError(
-                f"a {self.kind} executor needs n_workers >= 2, got {self.n_workers}"
+                f"a sharded executor needs n_workers >= 2, got {self.n_workers}"
             )
-        if self.kind not in _POOLED_KINDS and self.n_workers:
+        if self.kind != "sharded" and self.n_workers:
             raise ValueError(
-                f"n_workers={self.n_workers} only makes sense with kind "
-                f"'parallel' or 'sharded'"
+                f"n_workers={self.n_workers} only makes sense with kind 'sharded'"
             )
 
     # ------------------------------------------------------------------ #
@@ -85,25 +79,6 @@ class ExecutorSpec:
     @classmethod
     def serial(cls, *, detect_anomaly: bool = False) -> "ExecutorSpec":
         return cls(kind="serial", detect_anomaly=detect_anomaly)
-
-    @classmethod
-    def parallel(
-        cls,
-        n_workers: int = 2,
-        *,
-        start_method: Optional[str] = None,
-        prefetch: bool = True,
-        detect_anomaly: bool = False,
-        step_timeout: float = 300.0,
-    ) -> "ExecutorSpec":
-        return cls(
-            kind="parallel",
-            n_workers=n_workers,
-            start_method=start_method,
-            prefetch=prefetch,
-            detect_anomaly=detect_anomaly,
-            step_timeout=step_timeout,
-        )
 
     @classmethod
     def sharded(
@@ -115,10 +90,9 @@ class ExecutorSpec:
         detect_anomaly: bool = False,
         step_timeout: float = 300.0,
     ) -> "ExecutorSpec":
-        """``n_workers`` sensor shards, the caller being one of them: a
-        sensor-shardable model runs shard 0 in the calling process beside
-        ``n_workers - 1`` worker processes (batch-axis fallback: ``n_workers``
-        worker processes)."""
+        """``n_workers`` sensor shards, the caller being one of them: shard 0
+        runs in the calling process beside ``n_workers - 1`` worker
+        processes."""
         return cls(
             kind="sharded",
             n_workers=n_workers,
@@ -146,20 +120,19 @@ def make_executor(
     *,
     huber_delta: float = 1.0,
     kl_weight: float = 0.0,
-    seed: int = 0,
     scaler=None,
     history: Optional[int] = None,
 ):
     """Build the :class:`Executor` described by ``spec`` over ``model``.
 
     ``huber_delta`` / ``kl_weight`` parameterize the training loss (unused
-    by inference executors); ``seed`` feeds the parallel workers' RNG
-    streams; ``scaler`` / ``history`` configure inference executors that
-    serve raw-unit windows (see
-    :class:`repro.exec.inference.InferenceExecutor`).
+    by inference executors); ``scaler`` / ``history`` configure executors
+    that serve raw-unit windows (see
+    :class:`repro.exec.inference.InferenceExecutor`).  A ``"sharded"`` spec
+    over a model that cannot be sensor-sharded raises ``ValueError`` naming
+    the model and the reason.
     """
     from .inference import InferenceExecutor
-    from .parallel import ParallelExecutor
     from .serial import SerialExecutor
 
     if spec.kind == "serial":
@@ -190,22 +163,9 @@ def make_executor(
             prefetch=spec.prefetch,
             detect_anomaly=spec.detect_anomaly,
             step_timeout=spec.step_timeout,
-            seed=seed,
             huber_delta=huber_delta,
             kl_weight=kl_weight,
             scaler=scaler,
             history=history,
-        )
-    if spec.kind == "parallel":
-        return ParallelExecutor(
-            model,
-            n_workers=spec.n_workers,
-            start_method=spec.start_method,
-            prefetch=spec.prefetch,
-            detect_anomaly=spec.detect_anomaly,
-            step_timeout=spec.step_timeout,
-            seed=seed,
-            huber_delta=huber_delta,
-            kl_weight=kl_weight,
         )
     return InferenceExecutor(model, scaler=scaler, history=history)

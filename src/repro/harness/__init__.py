@@ -12,17 +12,15 @@ writes ``BENCH_<date>.json`` perf snapshots.  ``chaos`` backs
 (:mod:`repro.resilience`) that write ``chaos_report.json`` — and
 ``serve_bench`` backs ``python -m repro.harness serve-bench``, the online
 serving load benchmark (:mod:`repro.serve`) that writes
-``serve_bench.json``.  ``parallel_bench`` backs
-``python -m repro.harness parallel-bench`` — the data-parallel training
-gates (:mod:`repro.parallel`) that write ``parallel_bench.json`` — and
-``fleet_bench`` backs ``python -m repro.harness fleet-bench``, the model
-lifecycle benchmark (:mod:`repro.fleet`: registry, hot swap under load,
-shadow divergence, drift-triggered retrain) that writes
-``fleet_bench.json``.  ``shard_bench`` backs
-``python -m repro.harness shard-bench`` — the sensor-sharding gates
-(:class:`repro.exec.ShardedExecutor`: serial equivalence on both shard
-axes, serve identity, the N=10k city-scale memory envelope) that write
-``shard_bench.json`` — and ``capacity`` backs
+``serve_bench.json``.  ``fleet_bench`` backs
+``python -m repro.harness fleet-bench``, the model lifecycle benchmark
+(:mod:`repro.fleet`: registry, hot swap under load, shadow divergence,
+drift-triggered retrain) that writes ``fleet_bench.json``.
+``shard_bench`` backs ``python -m repro.harness shard-bench`` — the
+sensor-sharding gates (:class:`repro.exec.ShardedExecutor`: serial
+equivalence, serve identity, the N=10k city-scale memory envelope, the
+planner's per-shard prediction) that write ``shard_bench.json`` — and
+``capacity`` backs
 ``python -m repro.harness capacity``, the
 :class:`repro.training.CapacityPlanner` report over the registered zoo
 (``capacity_report.json``).
@@ -39,7 +37,6 @@ from . import (
     horizon_report,
     figure9,
     figure10,
-    parallel_bench,
     profile,
     serve_bench,
     shard_bench,

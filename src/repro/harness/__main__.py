@@ -8,7 +8,6 @@ Usage::
     python -m repro.harness bench --scope smoke --check
     python -m repro.harness chaos --fast --out results/
     python -m repro.harness serve-bench --fast --out results/
-    python -m repro.harness parallel-bench --fast --out results/
     python -m repro.harness fleet-bench --fast --out results/
     python -m repro.harness shard-bench --fast --out results/
     python -m repro.harness capacity --out results/
@@ -31,8 +30,9 @@ fails.  ``fleet-bench`` exercises the model-lifecycle plane
 concurrent load, shadow divergence, drift-triggered retrain — writes
 ``<out>/fleet_bench.json``, and exits nonzero if any lifecycle gate fails.
 ``shard-bench`` runs the sensor-sharding gates (serial-vs-sharded
-equivalence on both shard axes, serve identity, the N=10k city-scale
-memory envelope — see :class:`repro.exec.ShardedExecutor`), writes
+equivalence, serve identity, the N=10k city-scale memory envelope and the
+planner's per-shard prediction — see :class:`repro.exec.ShardedExecutor`),
+writes
 ``<out>/shard_bench.json``, and exits nonzero unless every enforced gate
 passes.  ``capacity`` evaluates the
 :class:`repro.training.CapacityPlanner` over the registered model zoo at
@@ -54,7 +54,6 @@ from . import (
     capacity,
     chaos,
     fleet_bench,
-    parallel_bench,
     profile,
     serve_bench,
     shard_bench,
@@ -89,16 +88,16 @@ def main(argv=None) -> int:
         "--fast",
         action="store_true",
         help=(
-            "chaos/serve-bench/parallel-bench/fleet-bench: shrink the run "
-            "to the CI budget (fewer epochs/requests/workers)"
+            "chaos/serve-bench/fleet-bench/shard-bench: shrink the run "
+            "to the CI budget (fewer epochs/requests)"
         ),
     )
     parser.add_argument(
         "--model",
         default="st-wa",
         help=(
-            "chaos/serve-bench/parallel-bench/fleet-bench: model to run "
-            "against (default st-wa)"
+            "chaos/serve-bench/fleet-bench: model to run against "
+            "(default st-wa)"
         ),
     )
     parser.add_argument(
@@ -112,9 +111,8 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         help=(
-            "parallel-bench/shard-bench: required wall-clock speedup "
-            "(enforced only on multi-core hosts; default 1.3 for "
-            "parallel-bench, 1.1 for shard-bench)"
+            "shard-bench: required wall-clock speedup (enforced only on "
+            "multi-core hosts; default 1.1)"
         ),
     )
     args = parser.parse_args(argv)
@@ -210,23 +208,6 @@ def main(argv=None) -> int:
         print(f"[capacity done in {elapsed:.1f}s]\n", flush=True)
         result.save(out_dir)
         return 0
-
-    if args.experiments[0] == "parallel-bench":
-        if len(args.experiments) > 1:
-            parser.error("parallel-bench takes no experiment arguments")
-        start = time.perf_counter()
-        result, report = parallel_bench.run(
-            settings=settings,
-            out_dir=out_dir,
-            fast=args.fast,
-            model_name=args.model,
-            min_speedup=1.3 if args.min_speedup is None else args.min_speedup,
-        )
-        elapsed = time.perf_counter() - start
-        print(result.to_text())
-        print(f"[parallel-bench done in {elapsed:.1f}s]\n", flush=True)
-        result.save(out_dir)
-        return 0 if report["all_passed"] else 1
 
     if args.experiments[0] == "profile":
         models = args.experiments[1:]

@@ -5,11 +5,8 @@ the sensor-sharded execution path (:class:`repro.exec.ShardedExecutor`) and
 writes ``<out>/shard_bench.json``:
 
 * **Training equivalence** — serial vs ``ExecutorSpec.sharded(n_workers=2)``
-  loss trajectories on both ``st-wa-det`` (batch-axis fallback: the model
-  mixes across sensors, so the executor degrades to data-parallel
-  semantics) and ``simst`` (true sensor-axis sharding), each within
-  ``EQUIVALENCE_RTOL``.  Unconditional: the all-reduce identity holds on
-  any machine.
+  loss trajectories on ``simst`` within ``EQUIVALENCE_RTOL``.
+  Unconditional: the all-reduce identity holds on any machine.
 * **Serve identity** — a SimST artifact served through
   :class:`repro.serve.ServingEngine` twice, default inference executor vs
   ``ServeConfig(executor=ExecutorSpec.sharded(...))``; forecasts must be
@@ -20,13 +17,17 @@ writes ``<out>/shard_bench.json``:
   tracemalloc peak must stay within ``envelope_slack`` × the
   :class:`repro.training.CapacityPlanner` prediction (float64 bytes), the
   sharded executor must train at that N, and its fanned-out forecast must
-  equal the in-process forward.  The tracemalloc peak of one sharded step
-  in the calling process, which computes shard 0 itself, is reported
-  (``sharded_local_peak_gb``) but not gated.
+  equal the in-process forward.
+* **Shard memory** — the tracemalloc peak of one sharded step in the
+  calling process, which computes shard 0 with the same code a worker
+  runs (``sharded_local_peak_gb``), against the planner's per-shard
+  prediction (:meth:`repro.training.CapacityPlanner.shard_gb`,
+  ``predicted_shard_gb``): the prediction must bound the measured peak and
+  stay within ``SHARD_PREDICTION_SLACK`` × of it.
 * **Speedup** — seconds per city-scale training step, serial vs sharded.
   Enforced only on multi-core hosts (``speedup_gate_enforced`` /
-  ``cores_detected`` mirror ``parallel_bench``'s contract); a single core
-  cannot beat serial by process placement.
+  ``cores_detected``); a single core cannot beat serial by process
+  placement.
 
 Exit code is nonzero unless every enforced gate passes (``all_passed``).
 """
@@ -52,12 +53,13 @@ from .runner import RunSettings, get_dataset
 HISTORY = 12
 HORIZON = 12
 DATASET = "PEMS08"
-EQUIVALENCE_MODELS = ("st-wa-det", "simst")
+EQUIVALENCE_MODELS = ("simst",)
 EQUIVALENCE_RTOL = 1e-6
 EQUIVALENCE_EPOCHS = 3
 SERVE_ATOL = 1e-9
 CITY_SENSORS = 10_000
 ENVELOPE_SLACK = 2.0  # measured N=10k peak runs ~1.4x the analytic model
+SHARD_PREDICTION_SLACK = 2.0  # per-shard prediction / measured caller-shard peak
 
 
 def _train(
@@ -100,7 +102,7 @@ def _max_rel_diff(a: Sequence[float], b: Sequence[float]) -> float:
 def _equivalence_check(
     dataset, settings: RunSettings, n_workers: int
 ) -> List[Dict[str, object]]:
-    """Serial vs sharded loss trajectories, both shard axes."""
+    """Serial vs sensor-sharded loss trajectories."""
     checks: List[Dict[str, object]] = []
     for model_name in EQUIVALENCE_MODELS:
         serial = _train(
@@ -118,7 +120,7 @@ def _equivalence_check(
         checks.append(
             {
                 "model": model_name,
-                "shard_axis": "sensor" if model_name == "simst" else "batch",
+                "shard_axis": "sensor",
                 "epochs": EQUIVALENCE_EPOCHS,
                 "rtol": EQUIVALENCE_RTOL,
                 "max_rel_diff_train_loss": loss_diff,
@@ -204,6 +206,7 @@ def _city_scale_check(
     )
     predicted_gb = planner.family_gb("per_sensor", num_sensors)
     envelope_gb = predicted_gb * envelope_slack
+    predicted_shard_gb = planner.shard_gb("per_sensor", num_sensors, n_workers)
 
     model = _build_city_model(num_sensors, seed)
     serial_seconds: List[float] = []
@@ -227,7 +230,7 @@ def _city_scale_check(
             executor.train_step(None, (x, y))
             sharded_seconds.append(time.perf_counter() - start)
         # one more (untimed) step traced in this process, which computes
-        # shard 0 beside the workers: reported, not gated
+        # shard 0 beside the workers with the code a worker runs
         tracemalloc.start()
         executor.train_step(None, (x, y))
         _, local_peak_bytes = tracemalloc.get_traced_memory()
@@ -237,6 +240,8 @@ def _city_scale_check(
         sharded_model.load_state_dict(model.state_dict())
         forecast = executor.predict(None, x[:1])
     serve_diff = float(np.max(np.abs(forecast - expected)))
+    local_peak_gb = local_peak_bytes / 1024**3
+    shard_ratio = predicted_shard_gb / local_peak_gb if local_peak_gb > 0 else float("inf")
 
     return {
         "num_sensors": int(num_sensors),
@@ -249,7 +254,13 @@ def _city_scale_check(
         "envelope_gb": envelope_gb,
         "measured_peak_gb": measured_gb,
         "within_envelope": measured_gb <= envelope_gb,
-        "sharded_local_peak_gb": local_peak_bytes / 1024**3,
+        "sharded_local_peak_gb": local_peak_gb,
+        "shard_memory": {
+            "predicted_shard_gb": predicted_shard_gb,
+            "ratio": shard_ratio,
+            "slack": SHARD_PREDICTION_SLACK,
+            "passed": 1.0 <= shard_ratio <= SHARD_PREDICTION_SLACK,
+        },
         "serial_step_seconds": serial_seconds,
         "sharded_step_seconds": sharded_seconds,
         "serve_max_abs_diff": serve_diff,
@@ -322,6 +333,7 @@ def run(
             equivalence_ok
             and serve_identity["passed"]
             and city["passed"]
+            and city["shard_memory"]["passed"]
             and speedup_ok
         ),
     }
@@ -362,12 +374,14 @@ def run(
             "pass" if city["within_envelope"] else "FAIL",
         ]
     )
+    shard_memory = city["shard_memory"]
     rows.append(
         [
-            f"city caller shard (N={city['num_sensors']}, 1 of {n_workers})",
-            f"{fmt(city['sharded_local_peak_gb'], 3)} GB peak",
-            "reported",
-            "-",
+            f"city shard memory (N={city['num_sensors']}, caller's 1 of {n_workers})",
+            f"{fmt(city['sharded_local_peak_gb'], 4)} GB peak",
+            f"planner {fmt(shard_memory['predicted_shard_gb'], 4)} GB "
+            f"(1-{SHARD_PREDICTION_SLACK:.0f}x)",
+            "pass" if shard_memory["passed"] else "FAIL",
         ]
     )
     rows.append(

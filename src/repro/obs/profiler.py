@@ -103,14 +103,15 @@ class Profiler:
         span.seconds += seconds
 
     def record_parallel(self, name: str, seconds: float) -> None:
-        """Attribute wall time to one data-parallel actor.
+        """Attribute wall time to one actor of a sensor-sharded step.
 
-        ``name`` is a stable actor label (``worker0``, ``worker1``,
-        ``reduce``, ``serialize`` — see
-        :class:`repro.exec.ParallelExecutor.train_step`).  Worker seconds
-        are measured *inside* the worker
-        process, so they sum to more than the parent's wall time whenever
-        the pool actually overlaps — that surplus is the parallelism.
+        ``name`` is a stable actor label (``worker0`` … ``worker{K-1}`` per
+        shard, ``worker0`` being the caller's own shard, plus ``serialize``,
+        ``augment`` and ``reduce`` — see
+        :meth:`repro.exec.ShardedExecutor.train_step`).  Worker seconds are
+        measured where each shard runs, so they sum to more than the
+        caller's wall time whenever the pool actually overlaps — that
+        surplus is the parallelism.
         """
         span = self.parallel.get(name)
         if span is None:

@@ -1,9 +1,11 @@
-"""Multiprocess data-parallel training (see DESIGN.md "Parallel training").
+"""Multiprocess sensor-sharded training (see DESIGN.md "Parallel training").
 
 Two cooperating pieces:
 
-* :class:`WorkerPool` (:mod:`repro.parallel.engine`) — N worker processes
-  that each run forward/backward on a shard of every mini-batch; the parent
+* :class:`WorkerPool` (:mod:`repro.parallel.engine`) — one shard per
+  contiguous sensor range: the calling process computes shard 0 and one
+  worker process per remaining range computes the others, each on its
+  slice of every mini-batch read from a shared arena; the caller
   tree-reduces their gradients (:func:`repro.optim.all_reduce_gradients`)
   and takes a single optimizer step.  Weights travel through the schema-v2
   checkpoint codec; failures translate back into the exception types the
@@ -12,12 +14,12 @@ Two cooperating pieces:
   background assembler writing sliding-window batches into double-buffered
   shared memory so batch assembly overlaps compute.
 
-The front door is :class:`repro.exec.ParallelExecutor` — selected by
-``TrainerConfig(executor=ExecutorSpec.parallel(n_workers=...))`` — and
-this package is the engine room.  The
-equivalence contract — parallel training reproduces the serial loss
-trajectory for deterministic models at any worker count — is enforced by
-``tests/test_parallel.py`` and ``python -m repro.harness parallel-bench``.
+The front door is :class:`repro.exec.ShardedExecutor` — selected by
+``TrainerConfig(executor=ExecutorSpec.sharded(n_workers=...))`` — and
+this package is the engine room.  The equivalence contract — sharded
+training reproduces the serial loss trajectory at any shard count — is
+enforced by ``tests/test_parallel.py``, ``tests/test_shard_fuzz.py`` and
+``python -m repro.harness shard-bench``.
 """
 
 from .engine import (
@@ -27,7 +29,6 @@ from .engine import (
     WorkerPool,
     default_start_method,
     sensor_shard_ranges,
-    shard_batch,
     shard_sensors,
     unshard_sensors,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "default_start_method",
-    "shard_batch",
     "sensor_shard_ranges",
     "shard_sensors",
     "unshard_sensors",

@@ -1,40 +1,35 @@
-"""Multiprocess data-parallel training engine.
+"""Multiprocess sensor-sharded training engine.
 
-One :class:`WorkerPool` owns the long-lived worker processes of K shards.
-Every training step the parent
+One :class:`WorkerPool` owns the long-lived worker processes of K sensor
+shards.  Every training step the parent
 
 1. serializes the current weights once with the schema-v2 checkpoint codec
    (:func:`repro.training.dumps_state_dict` — fork/spawn-safe, no pickled
    code objects on the weight path),
-2. hands every worker its part of the mini-batch: a batch-axis pool pickles
-   per-worker shards (:func:`shard_batch`) into the pipes; a sensor-sharded
-   pool writes the raw batch once into a shared arena and sends only its
-   shape, and each worker augments and slices its own sensor range,
-3. sends the weights with that message to every worker over its pipe,
-4. collects ``(loss, weight, grads, seconds)`` per shard and
-5. tree-reduces the shard gradients into the parent model's parameters
-   (:func:`repro.optim.all_reduce_gradients`) so a single optimizer step
-   applies exactly the gradient serial training would have produced.
+2. writes the raw batch once into a shared arena and sends every worker
+   only the weights and the batch shape; each shard augments and slices
+   its own sensor range,
+3. computes shard 0 itself, on a private view of its own model that shares
+   the parameters (:func:`_shard_view`), with the same code a worker runs
+   (:class:`_Shard`), reported as worker 0,
+4. collects ``(loss, weight, grads, seconds)`` from every other shard and
+5. lets the caller tree-reduce the shard gradients into the model's
+   parameters (:func:`repro.optim.all_reduce_gradients`) so a single
+   optimizer step applies exactly the gradient serial training would have
+   produced.
 
-Process topology: a batch-axis pool starts K workers.  A sensor-sharded
-pool starts K−1: between steps 3 and 4 the parent computes shard 0 itself,
-on a private view of its own model that shares the parameters
-(:func:`_shard_view`), with the same code a worker runs (:class:`_Shard`).
-Its result is reported as worker 0.
-
-The worker never sees the optimizer: it is a pure
-``weights, shard -> loss, gradients`` function, which keeps every piece of
-mutable training state (Adam moments, early stopping, RNG streams,
-checkpoints, recovery rollback) in the parent where the existing
-resilience machinery already manages it.
+A pool of K shards therefore starts K−1 worker processes.  The worker
+never sees the optimizer: it is a pure ``weights, shard -> loss,
+gradients`` function, which keeps every piece of mutable training state
+(Adam moments, early stopping, RNG streams, checkpoints, recovery
+rollback) in the parent where the existing resilience machinery already
+manages it.
 
 Model transport: the model object crosses the process boundary once, at
 pool start-up, via pickle (module classes are importable from both fork and
 spawn children); its weights are refreshed every step through the codec.
-Worker copies re-seed every RNG stream they hold through
-:func:`repro.tensor.rng.reseed_module_generators` so no two workers draw
-identical noise (see DESIGN.md "Parallel training" for the determinism
-contract).
+A sharded model holds no module random generators
+(:class:`repro.exec.ShardedExecutor` refuses one), so no shard draws noise.
 
 Failure translation: a ``FloatingPointError`` raised inside a worker (NaN
 loss, :func:`repro.tensor.detect_anomaly` hit) is re-raised in the parent
@@ -64,7 +59,6 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "default_start_method",
-    "shard_batch",
     "sensor_shard_ranges",
     "shard_sensors",
     "unshard_sensors",
@@ -72,7 +66,7 @@ __all__ = [
 
 
 class WorkerError(RuntimeError):
-    """A data-parallel worker failed for a non-numerical reason (or died)."""
+    """A pool worker failed for a non-numerical reason (or died)."""
 
 
 def default_start_method() -> str:
@@ -83,24 +77,17 @@ def default_start_method() -> str:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Knobs of the data-parallel engine.
+    """Knobs of the worker pool.
 
-    ``n_workers`` counts shards: a batch-axis pool starts that many worker
-    processes, a sensor-sharded pool one fewer (the caller computes shard
-    0).  ``step_timeout`` bounds how long the parent waits for any single
+    The shard count is the length of the pool's ``sensor_ranges``.
+    ``step_timeout`` bounds how long the parent waits for any single
     worker reply before declaring the pool wedged; generous by default
     because CI machines stall unpredictably under load.
     """
 
-    n_workers: int = 2
     start_method: Optional[str] = None  # None -> default_start_method()
     detect_anomaly: bool = False
-    seed: int = 0
     step_timeout: float = 300.0
-
-    def __post_init__(self):
-        if self.n_workers < 2:
-            raise ValueError(f"a worker pool needs n_workers >= 2, got {self.n_workers}")
 
 
 @dataclass
@@ -113,28 +100,6 @@ class ShardResult:
     grads: List[Optional[np.ndarray]] = field(repr=False, default_factory=list)
     seconds: float = 0.0  # worker-side wall time: augment, forward, backward
     augment: float = 0.0  # the part of ``seconds`` spent in ``model.augment``
-
-
-def shard_batch(
-    x: np.ndarray, y: np.ndarray, n_shards: int
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split a batch along axis 0 into up to ``n_shards`` contiguous shards.
-
-    Contiguous ``np.array_split`` sharding preserves the serial sample
-    order: concatenating the shards reproduces the batch exactly, which is
-    what makes the parallel loss a weighted mean of shard losses.  Batches
-    smaller than ``n_shards`` produce fewer (never empty) shards.
-    """
-    if len(x) != len(y):
-        raise ValueError(f"x and y disagree on batch size: {len(x)} vs {len(y)}")
-    pieces = min(n_shards, len(x))
-    if pieces < 1:
-        raise ValueError("cannot shard an empty batch")
-    return [
-        (xs, ys)
-        for xs, ys in zip(np.array_split(x, pieces), np.array_split(y, pieces))
-        if len(xs)
-    ]
 
 
 def sensor_shard_ranges(num_sensors: int, n_shards: int) -> List[Tuple[int, int]]:
@@ -165,8 +130,7 @@ def shard_sensors(
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Split a batch along the sensor axis (axis 1) into contiguous shards.
 
-    The sensor-parallel counterpart of :func:`shard_batch`: shards follow
-    :func:`sensor_shard_ranges`, so ``np.concatenate(pieces, axis=1)``
+    Shards follow :func:`sensor_shard_ranges`, so ``np.concatenate(pieces, axis=1)``
     reassembles the batch exactly.  NaN-masked targets ride along
     untouched; each shard's finite-target count is its all-reduce weight.
     """
@@ -197,19 +161,16 @@ BLOCK_ROWS = 1024
 
 
 def sensor_blocks(
-    sensor_shard: Optional[Tuple[int, int]], batch: int
-) -> List[Tuple[slice, Optional[Tuple[int, int]]]]:
+    sensor_shard: Tuple[int, int], batch: int
+) -> List[Tuple[slice, Tuple[int, int]]]:
     """The blocks one worker steps its shard in, in sensor order.
 
     Each block is ``(columns, sensor_range)``: the block's slice of the
     worker's ``(B, stop - start, ...)`` arrays and the global
-    ``[start, stop)`` range to pass to ``set_sensor_shard``.  Sensor shards
-    split into contiguous ranges of ``BLOCK_ROWS // batch`` sensors (the
-    last one ragged); a batch-axis shard (``sensor_shard=None``) is one
-    block spanning the whole shard, with no sensor range to set.
+    ``[start, stop)`` range to pass to ``set_sensor_shard``.  A shard splits
+    into contiguous ranges of ``BLOCK_ROWS // batch`` sensors (the last one
+    ragged).
     """
-    if sensor_shard is None:
-        return [(slice(None), None)]
     start, stop = sensor_shard
     width = max(1, BLOCK_ROWS // max(1, batch))
     return [
@@ -390,15 +351,13 @@ def _shard_view(model):
 
 class _Shard:
     """The step and the forecast of one shard: the one definition a pool's
-    children run in their loop and a sensor pool's caller runs on shard 0.
+    children run in their loop and its caller runs on shard 0.
 
-    Two transports carry a batch.  A batch-axis shard arrives pickled in
-    the ``"step"``/``"predict"`` message.  A sensor shard gets only the
-    batch shape (``"sensor_step"``/``"sensor_predict"``) and reads the raw
-    batch from the pool's shared arena; it then augments its own rows
-    (``model.augment(x, sensors=shard)``) and slices its targets.
+    A ``"step"``/``"predict"`` message carries only the batch shapes; the
+    shard reads the raw batch from the pool's shared arena, augments its
+    own rows (``model.augment(x, sensors=shard)``) and slices its targets.
 
-    A sensor shard is stepped in :func:`sensor_blocks`: per-sensor models
+    A shard is stepped in :func:`sensor_blocks`: per-sensor models
     treat sensors independently, so each block's loss is backpropagated
     seeded with its share ``c_b / c`` of the shard's finite targets and the
     gradients accumulate into ``parameter.grad`` — the same finite-count
@@ -409,7 +368,7 @@ class _Shard:
         from ..core.loss import STWALoss
 
         self.model = model
-        self.sensor_shard = None if sensor_shard is None else tuple(sensor_shard)
+        self.sensor_shard = tuple(sensor_shard)
         self.parameters = model.parameters()
         self.loss_fn = STWALoss(delta=huber_delta, kl_weight=kl_weight)
         self.kl_model = model if hasattr(model, "kl_divergence") else None
@@ -418,15 +377,12 @@ class _Shard:
         self._restore_shard()
 
     def _restore_shard(self) -> None:
-        if self.sensor_shard is not None:
-            self.model.set_sensor_shard(*self.sensor_shard)
+        self.model.set_sensor_shard(*self.sensor_shard)
 
-    def _inputs(self, kind: str, payload, arena) -> Tuple[Tuple[np.ndarray, ...], float]:
-        """The shard's ``(x[, y])`` for one message and its augment seconds."""
-        if not kind.startswith("sensor_"):
-            return payload, 0.0
+    def _inputs(self, shapes, arena) -> Tuple[Tuple[np.ndarray, ...], float]:
+        """The shard's ``(x[, y])`` read from the arena and its augment seconds."""
         start, stop = self.sensor_shard
-        x, *rest = _arena_views(arena, payload)
+        x, *rest = _arena_views(arena, shapes)
         augment_start = time.perf_counter()
         x = self.model.augment(x, sensors=self.sensor_shard)
         seconds = time.perf_counter() - augment_start
@@ -441,8 +397,7 @@ class _Shard:
         try:
             with inference_mode():
                 for columns, sensor_range in sensor_blocks(self.sensor_shard, len(x_shard)):
-                    if sensor_range is not None:
-                        model.set_sensor_shard(*sensor_range)
+                    model.set_sensor_shard(*sensor_range)
                     block = model(Tensor(x_shard[:, columns])).data
                     if forecast is None:
                         forecast = np.empty(x_shard.shape[:2] + block.shape[2:])
@@ -465,8 +420,7 @@ class _Shard:
         try:
             with guard:
                 for columns, sensor_range in sensor_blocks(self.sensor_shard, len(x_shard)):
-                    if sensor_range is not None:
-                        model.set_sensor_shard(*sensor_range)
+                    model.set_sensor_shard(*sensor_range)
                     prediction = model(Tensor(x_shard[:, columns]))
                     loss = self.loss_fn(
                         prediction, Tensor(y_shard[:, columns]), model=self.kl_model
@@ -488,7 +442,7 @@ class _Shard:
         return value, weight
 
     def reply(self, message, arena) -> tuple:
-        """Run one ``(kind, weights_blob, *payload)`` message; the reply a
+        """Run one ``(kind, weights_blob, *shapes)`` message; the reply a
         worker sends back.
 
         ``("ok", forecast)`` for a predict, ``("ok", loss, weight, grads,
@@ -498,13 +452,13 @@ class _Shard:
         """
         from ..training import checkpoint as checkpoint_module
 
-        kind, weights_blob, *payload = message
+        kind, weights_blob, *shapes = message
         try:
             start = time.perf_counter()
             if weights_blob is not None:
                 self.model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
-            arrays, augment_seconds = self._inputs(kind, payload, arena)
-            if kind.endswith("predict"):
+            arrays, augment_seconds = self._inputs(shapes, arena)
+            if kind == "predict":
                 return ("ok", self.predict(*arrays))
             value, weight = self.step(*arrays)
             grads = [parameter.grad for parameter in self.parameters]
@@ -519,16 +473,16 @@ def _worker_main(conn, init_blob: bytes) -> None:
     """Run one worker: receive messages over ``conn`` until told to stop.
 
     ``init_blob`` pickles a dict with the model, loss settings, the
-    worker's shard id and the base seed — everything is imported lazily
-    here so a spawn child only pays for what it uses.  Each step or
-    forecast message is answered with :meth:`_Shard.reply`; an ``"arena"``
-    message delivers the descriptor of the pool's shared batch arena, which
-    the worker maps read-only.
+    worker's sensor range and the pool's shard count — everything is
+    imported lazily here so a spawn child only pays for what it uses.
+    Each step or forecast message is answered with :meth:`_Shard.reply`;
+    an ``"arena"`` message delivers the descriptor of the pool's shared
+    batch arena, which the worker maps read-only.
     """
     import mmap
     from multiprocessing import reduction
 
-    from ..tensor import rng as rng_module, set_hooks
+    from ..tensor import set_hooks
 
     # a forked child inherits whatever observability hooks the parent had
     # installed at pool start-up; they would record into a dead copy
@@ -536,12 +490,10 @@ def _worker_main(conn, init_blob: bytes) -> None:
 
     init = pickle.loads(init_blob)
     # one share of the cores per shard
-    _limit_blas_threads(max(1, available_cores() // int(init["n_workers"])))
-    model = init["model"]
-    rng_module.reseed_module_generators(model, int(init["seed"]), int(init["worker_id"]))
+    _limit_blas_threads(max(1, available_cores() // int(init["n_shards"])))
     shard = _Shard(
-        model,
-        init.get("sensor_shard"),
+        init["model"],
+        init["sensor_shard"],
         huber_delta=init["huber_delta"],
         kl_weight=init["kl_weight"],
         screen=bool(init["detect_anomaly"]),
@@ -574,21 +526,19 @@ def _worker_main(conn, init_blob: bytes) -> None:
 # parent side
 # --------------------------------------------------------------------- #
 class WorkerPool:
-    """Persistent training workers connected by pipes, one per shard.
+    """Persistent shard workers connected by pipes, one shard per sensor range.
 
-    A batch-axis pool starts ``n_workers`` children.  A pool built with
-    ``sensor_ranges`` has one shard per range, and the calling process is
-    one of them: it computes shard 0 itself, on a private view of its own
-    model (:func:`_shard_view`), while ``n_workers - 1`` children compute
-    shards ``1 … K-1``.  Such a pool also owns a shared arena: one float64
-    buffer in nameless shared memory (:func:`_anonymous_file`) that
-    :meth:`sensor_step` and :meth:`sensor_predict` write the raw batch into
-    once, so each child receives only the weights and the batch shape.
-    The arena's descriptor goes to every child over its pipe
+    The pool has one shard per entry of ``sensor_ranges`` (at least two),
+    and the calling process is one of them: it computes shard 0 itself, on
+    a private view of its own model (:func:`_shard_view`), while one child
+    per remaining range computes shards ``1 … K-1``.  The pool owns a
+    shared arena: one float64 buffer in nameless shared memory
+    (:func:`_anonymous_file`) that :meth:`sensor_step` and
+    :meth:`sensor_predict` write the raw batch into once, so each child
+    receives only the weights and the batch shape.  The arena's descriptor
+    goes to every child over its pipe
     (``multiprocessing.reduction.send_handle``) when the arena is first
-    needed, and again only when a batch outgrows it.  :meth:`train_step`
-    and :meth:`predict` keep the pickled-shard transport for batch-axis
-    shards.
+    needed, and again only when a batch outgrows it.
 
     Usable as a context manager; :meth:`close` is idempotent and always
     safe to call (it terminates stragglers rather than hang).
@@ -599,43 +549,39 @@ class WorkerPool:
         model,
         config: ParallelConfig,
         *,
+        sensor_ranges: Sequence[Tuple[int, int]],
         huber_delta: float,
         kl_weight: float,
-        sensor_ranges: Optional[Sequence[Tuple[int, int]]] = None,
     ):
-        if sensor_ranges is not None and len(sensor_ranges) != config.n_workers:
+        if len(sensor_ranges) < 2:
             raise ValueError(
-                f"sensor_ranges has {len(sensor_ranges)} entries for "
-                f"{config.n_workers} workers"
+                f"a worker pool needs at least 2 shards, got {len(sensor_ranges)}"
             )
         self.config = config
-        self.n_workers = config.n_workers
-        self.sensor_ranges = None if sensor_ranges is None else list(sensor_ranges)
+        self.sensor_ranges = [tuple(sensor_range) for sensor_range in sensor_ranges]
+        n_shards = len(self.sensor_ranges)
         method = config.start_method or default_start_method()
         context = mp.get_context(method)
         self.start_method = method
         self._workers = []
         self._conns = []
-        self._arena = None  # mmap of the shared batch arena (sensor pools)
+        self._arena = None  # mmap of the shared batch arena
         self._arena_view: Optional[np.ndarray] = None  # its float64 view
         self._closed = False
-        # the shard id of child 0: a sensor pool computes shard 0 itself
-        self._first_child = 0 if sensor_ranges is None else 1
         if method == "fork":
             _trim_heap()
-        for worker_id in range(self._first_child, config.n_workers):
-            init = {
-                "model": model,
-                "worker_id": worker_id,
-                "n_workers": config.n_workers,
-                "seed": config.seed,
-                "huber_delta": huber_delta,
-                "kl_weight": kl_weight,
-                "detect_anomaly": config.detect_anomaly,
-            }
-            if sensor_ranges is not None:
-                init["sensor_shard"] = tuple(sensor_ranges[worker_id])
-            init_blob = pickle.dumps(init)
+        # child i computes shard i + 1: the caller computes shard 0
+        for worker_id in range(1, n_shards):
+            init_blob = pickle.dumps(
+                {
+                    "model": model,
+                    "sensor_shard": self.sensor_ranges[worker_id],
+                    "n_shards": n_shards,
+                    "huber_delta": huber_delta,
+                    "kl_weight": kl_weight,
+                    "detect_anomaly": config.detect_anomaly,
+                }
+            )
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_worker_main,
@@ -647,38 +593,21 @@ class WorkerPool:
             child_conn.close()
             self._workers.append(process)
             self._conns.append(parent_conn)
-        self._local: Optional[_Shard] = None
-        if sensor_ranges is not None:
-            self._local = _Shard(
-                _shard_view(model),
-                sensor_ranges[0],
-                huber_delta=huber_delta,
-                kl_weight=kl_weight,
-                screen=config.detect_anomaly,
-            )
-            self._blas_share = max(1, available_cores() // config.n_workers)
+        self._local = _Shard(
+            _shard_view(model),
+            self.sensor_ranges[0],
+            huber_delta=huber_delta,
+            kl_weight=kl_weight,
+            screen=config.detect_anomaly,
+        )
+        self._blas_share = max(1, available_cores() // n_shards)
 
     @property
     def arena_bytes(self) -> int:
-        """Size of the shared batch arena (0 until a sensor batch needs it)."""
+        """Size of the shared batch arena (0 until a batch needs it)."""
         return 0 if self._arena is None else len(self._arena)
 
     # ------------------------------------------------------------------ #
-    def train_step(
-        self, weights_blob: Optional[bytes], shards: Sequence[Tuple[np.ndarray, np.ndarray]]
-    ) -> List[ShardResult]:
-        """Run one batch-axis step on pickled shards; one result per shard.
-
-        Shards are dealt to workers in order; with fewer shards than
-        workers (a tail batch smaller than the pool) the idle workers
-        simply skip the step.  Raises ``FloatingPointError`` if any worker
-        hit one (after draining every reply, so the pipes stay in sync for
-        the retry the recovery policy will schedule).
-        """
-        self._check_shards(shards, "train_step")
-        self._dispatch([("step", weights_blob, x, y) for x, y in shards])
-        return self._collect_steps(len(shards))
-
     def sensor_step(
         self, weights_blob: Optional[bytes], x: np.ndarray, y: np.ndarray
     ) -> List[ShardResult]:
@@ -690,58 +619,29 @@ class WorkerPool:
         shard 0 with the weights its model holds now (``weights_blob``
         must be those weights, or ``None`` when the children's copies are
         current), and then every child's reply is collected.  One result
-        per shard, in sensor order, with the same failure handling as
-        :meth:`train_step`.
+        per shard, in sensor order.  Raises ``FloatingPointError`` if any
+        shard hit one (after reading every reply, so the pipes stay in sync
+        for the retry the recovery policy will schedule).
         """
-        shapes = self._write_arena(x, y)
-        message = ("sensor_step", weights_blob, *shapes)
-        self._dispatch([message] * len(self._conns))
-        local = self._run_local(message)
-        return self._collect_steps(len(self._conns), local)
-
-    def predict(
-        self, weights_blob: Optional[bytes], shards: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Fan a batch-axis inference batch out over the pool; one forecast
-        per pickled shard.
-
-        Same dealing/draining discipline as :meth:`train_step`: shards go
-        to workers in order, every reply is collected before any error is
-        raised, so the pipes stay usable afterwards.  Workers run under
-        ``inference_mode`` with the shipped weights (ship ``None`` only if
-        the pool's weights are known current).
-        """
-        self._check_shards(shards, "predict")
-        self._dispatch([("predict", weights_blob, x) for x in shards])
-        return self._collect_forecasts(len(shards))
+        message = ("step", weights_blob, *self._write_arena(x, y))
+        self._dispatch(message)
+        return self._collect_steps(self._run_local(message))
 
     def sensor_predict(self, weights_blob: Optional[bytes], x: np.ndarray) -> List[np.ndarray]:
         """Forecast a full-network window through the arena; one
         ``(B, stop - start, ...)`` forecast per shard, in sensor order.
         Shard 0 is computed in the calling process, as in
         :meth:`sensor_step`."""
-        (shape,) = self._write_arena(x)
-        message = ("sensor_predict", weights_blob, shape)
-        self._dispatch([message] * len(self._conns))
-        local = self._run_local(message)
-        return self._collect_forecasts(len(self._conns), local)
+        message = ("predict", weights_blob, *self._write_arena(x))
+        self._dispatch(message)
+        return self._collect_forecasts(self._run_local(message))
 
     # ------------------------------------------------------------------ #
-    def _check_shards(self, shards: Sequence, what: str) -> None:
-        if self._closed:
-            raise WorkerError("worker pool is closed")
-        if not shards:
-            raise ValueError(f"{what} needs at least one shard")
-        if len(shards) > self.n_workers:
-            raise ValueError(f"{len(shards)} shards exceed pool size {self.n_workers}")
-
     def _write_arena(self, *arrays: np.ndarray) -> List[Tuple[int, ...]]:
         """Copy ``arrays`` back to back into the arena (growing it if they do
         not fit) and return their shapes for the workers to view."""
         if self._closed:
             raise WorkerError("worker pool is closed")
-        if self.sensor_ranges is None:
-            raise ValueError("the shared arena serves pools built with sensor_ranges")
         arrays = [np.asarray(array) for array in arrays]
         nbytes = 8 * sum(array.size for array in arrays)
         if nbytes > self.arena_bytes:
@@ -765,9 +665,7 @@ class WorkerPool:
                     reduction.send_handle(conn, fd, process.pid)
                 except OSError as error:
                     self.close()
-                    raise WorkerError(
-                        f"worker {child + self._first_child} is gone: {error}"
-                    ) from error
+                    raise WorkerError(f"worker {child + 1} is gone: {error}") from error
         finally:
             os.close(fd)
         self._release_arena()
@@ -788,13 +686,11 @@ class WorkerPool:
             self._conns[child].send(message)
         except OSError as error:  # the worker exited and closed its end
             self.close()
-            raise WorkerError(
-                f"worker {child + self._first_child} is gone: {error}"
-            ) from error
+            raise WorkerError(f"worker {child + 1} is gone: {error}") from error
 
-    def _dispatch(self, messages: Sequence[tuple]) -> None:
-        """Send message ``i`` to child ``i``."""
-        for child, message in enumerate(messages):
+    def _dispatch(self, message: tuple) -> None:
+        """Send ``message`` to every child."""
+        for child in range(len(self._conns)):
             self._send(child, message)
 
     def _run_local(self, message) -> tuple:
@@ -820,18 +716,17 @@ class WorkerPool:
         finally:
             set_hooks(**previous)
 
-    def _replies(self, count: int, local: Optional[tuple]) -> List[Tuple[int, tuple]]:
-        """``(shard id, reply)`` for the local shard (if any) and the first
-        ``count`` children, in shard order; every child is read."""
-        replies = [] if local is None else [(0, local)]
-        replies += [(child + self._first_child, self._receive(child)) for child in range(count)]
-        return replies
+    def _replies(self, local: tuple) -> List[Tuple[int, tuple]]:
+        """``(shard id, reply)`` for the local shard and every child, in
+        shard order; every child is read."""
+        children = [(child + 1, self._receive(child)) for child in range(len(self._conns))]
+        return [(0, local)] + children
 
-    def _collect_steps(self, count: int, local: Optional[tuple] = None) -> List[ShardResult]:
+    def _collect_steps(self, local: tuple) -> List[ShardResult]:
         results: List[ShardResult] = []
         numerical_failure: Optional[str] = None
         worker_failure: Optional[str] = None
-        for worker_id, reply in self._replies(count, local):
+        for worker_id, reply in self._replies(local):
             if reply[0] == "ok":
                 _, value, weight, grads, seconds, augment = reply
                 results.append(ShardResult(worker_id, value, weight, grads, seconds, augment))
@@ -845,10 +740,10 @@ class WorkerPool:
             raise FloatingPointError(numerical_failure)
         return results
 
-    def _collect_forecasts(self, count: int, local: Optional[tuple] = None) -> List[np.ndarray]:
+    def _collect_forecasts(self, local: tuple) -> List[np.ndarray]:
         forecasts: List[np.ndarray] = []
         worker_failure: Optional[str] = None
-        for worker_id, reply in self._replies(count, local):
+        for worker_id, reply in self._replies(local):
             if reply[0] == "ok":
                 forecasts.append(reply[1])
             else:
@@ -859,7 +754,7 @@ class WorkerPool:
 
     def _receive(self, child: int):
         conn = self._conns[child]
-        worker_id = child + self._first_child
+        worker_id = child + 1
         if not conn.poll(self.config.step_timeout):
             self.close()
             raise WorkerError(

@@ -1,4 +1,4 @@
-"""Parallel windowed-dataset prefetcher: overlap batch assembly with compute.
+"""Background windowed-dataset prefetcher: overlap batch assembly with compute.
 
 Materializing a sliding-window batch is pure data movement —
 ``H`` history slices and ``U`` target slices stacked per sample

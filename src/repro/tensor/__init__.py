@@ -30,7 +30,6 @@ from .functional import (
     reparameterize,
     scaled_dot_product_attention,
 )
-from .rng import reseed_module_generators, spawn_streams, worker_seed_sequence
 from .tensor import (
     Hooks,
     Tensor,
@@ -63,9 +62,6 @@ __all__ = [
     "functional",
     "gradcheck",
     "rng",
-    "spawn_streams",
-    "worker_seed_sequence",
-    "reseed_module_generators",
     "huber_loss",
     "masked_huber_loss",
     "mse_loss",

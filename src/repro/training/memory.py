@@ -23,7 +23,7 @@ what matters for the reproduction is the *relative* blow-up ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Sequence
 
 BYTES_PER_ELEMENT = 4  # float32 training, as in the paper's PyTorch setup
@@ -147,8 +147,9 @@ class CapacityPlan:
     """One model's memory verdict at one sensor count.
 
     ``shards_needed`` is the smallest shard count K whose per-shard
-    activation footprint (the model evaluated at ⌈N/K⌉ sensors) fits the
-    budget — ``None`` if no K up to the planner's ``max_shards`` does.
+    footprint (:meth:`CapacityPlanner.shard_gb`; K=1 is the unsharded
+    step) fits the budget — ``None`` if no K up to the planner's
+    ``max_shards`` does.
     ``sensor_shardable`` says whether the execution layer can actually
     deliver that split: only per-sensor families decompose along the sensor
     axis (everything else mixes across sensors inside the forward), so a
@@ -221,24 +222,44 @@ class CapacityPlanner:
         self.max_shards = int(max_shards)
 
     # ------------------------------------------------------------------ #
+    def _gb(self, elements: float) -> float:
+        return elements * self.bytes_per_element * BACKWARD_FACTOR / 1024**3
+
     def family_gb(self, family: str, num_sensors: int) -> float:
         """Activation GB of ``family`` at ``num_sensors`` (planner bytes)."""
         if family not in _FAMILIES:
             raise KeyError(
                 f"unknown family {family!r}; available: {sorted(_FAMILIES)}"
             )
-        dims = ModelDims(
-            batch=self.dims.batch,
-            num_sensors=int(num_sensors),
-            history=self.dims.history,
-            horizon=self.dims.horizon,
-            hidden=self.dims.hidden,
-            layers=self.dims.layers,
-            heads=self.dims.heads,
-            proxies=self.dims.proxies,
+        return self._gb(_FAMILIES[family](replace(self.dims, num_sensors=int(num_sensors))))
+
+    def shard_gb(self, family: str, num_sensors: int, n_shards: int) -> float:
+        """Training-step GB of the largest of ``n_shards`` sensor shards.
+
+        A per-sensor shard — what :class:`repro.exec.ShardedExecutor` runs —
+        holds two parts at once.  Its shard-sized arrays: the augmented
+        input (raw and neighbour-aggregate channels), the targets and the
+        forecast, ``B·⌈N/K⌉·(2H + 2U)`` elements.  And the activations of
+        one block: a shard steps its range ``BLOCK_ROWS // B`` sensors at a
+        time (:func:`repro.parallel.engine.sensor_blocks`), so those are the
+        family's model at that many sensors, whatever the shard's size.
+        Every other family mixes sensors in its forward and cannot be
+        stepped in blocks; its shard is the family's model at ``⌈N/K⌉``
+        sensors.
+        """
+        from ..parallel.engine import BLOCK_ROWS
+
+        if n_shards < 1:
+            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        per_shard = -(-int(num_sensors) // int(n_shards))  # ceil(N/K)
+        if family != "per_sensor":
+            return self.family_gb(family, per_shard)
+        dims = self.dims
+        block = min(per_shard, max(1, BLOCK_ROWS // max(1, dims.batch)))
+        shard_arrays = dims.batch * per_shard * (2 * dims.history + 2 * dims.horizon)
+        return self._gb(
+            _per_sensor_elements(replace(dims, num_sensors=block)) + shard_arrays
         )
-        elements = _FAMILIES[family](dims)
-        return elements * self.bytes_per_element * BACKWARD_FACTOR / 1024**3
 
     def plan(self, model_name: str, num_sensors: int) -> CapacityPlan:
         """Memory verdict + shard plan for one registered model at N sensors."""
@@ -248,12 +269,12 @@ class CapacityPlanner:
             raise ValueError(f"num_sensors must be >= 1, got {num_sensors}")
         family = model_family(model_name)
         total_gb = self.family_gb(family, num_sensors)
-        shards: Optional[int] = None
-        for k in range(1, self.max_shards + 1):
-            per_shard = -(-num_sensors // k)  # ceil(N/k)
-            if self.family_gb(family, per_shard) <= self.budget_gb:
-                shards = k
-                break
+
+        def fits(k: int) -> bool:
+            step_gb = total_gb if k == 1 else self.shard_gb(family, num_sensors, k)
+            return step_gb <= self.budget_gb
+
+        shards = next((k for k in range(1, self.max_shards + 1) if fits(k)), None)
         return CapacityPlan(
             model=model_name.lower(),
             family=family,

@@ -33,15 +33,16 @@ Execution (see DESIGN.md "Executor"): the loop never runs a model forward
 itself — every step goes through a :class:`repro.exec.Executor` selected
 by ``TrainerConfig(executor=ExecutorSpec(...))``.  The default is the
 in-process :class:`repro.exec.SerialExecutor`;
-``ExecutorSpec.parallel(n_workers=N)`` shards every mini-batch across N
-worker processes (:mod:`repro.parallel`) and tree-reduces the shard
-gradients, so optimizer state, checkpoints, recovery, and RNG streams all
-stay in-process and the features above compose with parallelism unchanged.
+``ExecutorSpec.sharded(n_workers=N)`` splits every mini-batch of a
+sensor-shardable model (SimST) into N contiguous sensor ranges, computes
+one in this process and the rest in worker processes
+(:mod:`repro.parallel`), and tree-reduces the shard gradients, so
+optimizer state, checkpoints, recovery, and RNG streams all stay
+in-process and the features above compose with sharding unchanged.
 Batches are assembled in a background prefetch process (double-buffered
-shared memory) unless ``ExecutorSpec(prefetch=False)``.  For models that
-draw no randomness in the training forward pass the parallel loss
+shared memory) unless ``ExecutorSpec(prefetch=False)``.  The sharded loss
 trajectory matches serial training to float64 reduction accuracy at any
-worker count.  Evaluation and prediction route through a
+shard count.  Evaluation and prediction route through a
 :class:`repro.exec.InferenceExecutor` (the same graph-free fast path the
 serving plane uses); validation inside ``fit`` on a sensor-sharded
 executor runs on its worker pool instead.
@@ -101,7 +102,7 @@ class TrainerConfig:
     keep_best: bool = True  # also maintain best.npz (best-val weights)
     detect_anomaly: bool = False  # per-op NaN/Inf screening (slow; debugging)
     recovery: Optional[RecoveryPolicy] = None  # rollback/retry on divergence
-    batch_hook: Optional[object] = None  # fault injection (resilience.faults)
+    batch_hook: Optional[object] = None  # after_backward/after_batch (resilience.faults)
     # --- execution backend (repro.exec; see DESIGN.md "Executor") ------- #
     executor: Optional[ExecutorSpec] = None  # None -> serial in-process
 
@@ -159,6 +160,15 @@ class Trainer:
         self.dataset = dataset
         self.spec = spec
         self.config = config or TrainerConfig()
+        hook = self.config.batch_hook
+        if hook is not None and not (
+            hasattr(hook, "after_backward") or hasattr(hook, "after_batch")
+        ):
+            raise TypeError(
+                f"TrainerConfig.batch_hook must have an after_backward or an "
+                f"after_batch method; {type(hook).__name__} has neither, so it "
+                "would never be called"
+            )
         # explicit None check: an empty ListSink is falsy via __len__.
         # User-provided sinks are isolated behind SafeSink so an emit
         # failure (full disk, closed handle) can never kill training.
@@ -177,7 +187,6 @@ class Trainer:
             self.executor_spec,
             huber_delta=self.config.huber_delta,
             kl_weight=self.config.kl_weight,
-            seed=self.config.seed,
         )
         # evaluation/prediction share the serving plane's graph-free fast
         # path; inputs are already in scaled model space, so no scaler.
@@ -200,8 +209,8 @@ class Trainer:
             return ExecutorSpec.serial(detect_anomaly=cfg.detect_anomaly)
         if spec.kind == "inference":
             raise ValueError(
-                "TrainerConfig(executor=...) must be a serial, parallel, "
-                "sharded, or compiled spec; an inference executor cannot train"
+                "TrainerConfig(executor=...) must be a serial, compiled, or "
+                "sharded spec; an inference executor cannot train"
             )
         if cfg.detect_anomaly and not spec.detect_anomaly:
             spec = spec.with_overrides(detect_anomaly=True)
@@ -225,7 +234,7 @@ class Trainer:
         start_epoch = 0
         if resume_from is not None:
             best_state, start_epoch = self._restore_checkpoint(resume_from, history, stopper)
-        self.executor.open()  # workers spawn here for the parallel backend
+        self.executor.open()  # workers spawn here for the sharded backend
         if getattr(self.executor, "shard_axis", None) == "sensor":
             # validation runs on the pool: block by block in the workers
             # instead of one full-network forward in this process

@@ -1,11 +1,12 @@
 """Executor conformance suite (repro.exec).
 
-Every executor — serial, parallel, sharded, inference — must honor one contract:
-the open/close lifecycle state machine, ``train_step`` leaving gradients
-on the model, ``predict`` returning the eval-mode forward.  The headline
-checks: serial and parallel executors produce identical losses and
-gradients (1e-6 rtol) on a fixed seeded batch, and all three produce
-identical predictions from the same weights.
+Every executor — serial, compiled, sharded, inference — must honor one
+contract: the open/close lifecycle state machine, ``train_step`` leaving
+gradients on the model, ``predict`` returning the eval-mode forward.  The
+headline checks: serial and sensor-sharded executors produce identical
+losses and gradients (1e-6 rtol) on a fixed seeded batch of a SimST model,
+and the same predictions from the same weights; a model that cannot be
+sensor-sharded is refused by name.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.exec import (
     ExecutorSpec,
     ExecutorStateError,
     InferenceExecutor,
-    ParallelExecutor,
     SerialExecutor,
     ShardedExecutor,
     StepResult,
@@ -54,15 +54,13 @@ def small_simst(num_sensors: int, seed: int = 0):
 
 
 def make_exec(kind: str, tiny_dataset):
+    if kind == "sharded":
+        return ShardedExecutor(small_simst(tiny_dataset.num_sensors), n_workers=2)
     model = small_model(tiny_dataset.num_sensors)
     if kind == "serial":
         return SerialExecutor(model)
-    if kind == "parallel":
-        return ParallelExecutor(model, n_workers=2)
     if kind == "compiled":
         return CompiledExecutor(model)
-    if kind == "sharded":
-        return ShardedExecutor(model, n_workers=2)
     return InferenceExecutor(model)
 
 
@@ -108,20 +106,9 @@ class TestLifecycle:
             executor.predict(None, seeded_batch[0])
         assert not executor.is_open
 
-    def test_parallel_lifecycle(self, tiny_dataset, seeded_batch):
-        """Pool spawn is expensive: one test covers the parallel machine."""
-        executor = make_exec("parallel", tiny_dataset)
-        assert executor._pool is None
-        with executor:
-            assert executor._pool is not None
-            with pytest.raises(ExecutorStateError, match="already open"):
-                executor.open()
-        assert executor._pool is None
-        with pytest.raises(ExecutorStateError):
-            executor.train_step(None, seeded_batch)
-
     def test_sharded_lifecycle(self, tiny_dataset, seeded_batch):
-        """Same pool state machine, plus shard ranges bound to the pool."""
+        """Pool spawn is expensive: one test covers the pool state machine,
+        plus shard ranges bound to the pool."""
         executor = ShardedExecutor(small_simst(tiny_dataset.num_sensors), n_workers=2)
         assert executor.shard_axis == "sensor"
         assert executor._pool is None and executor.shard_ranges == []
@@ -143,26 +130,6 @@ class TestLifecycle:
 # the equivalence gates: one step logic, many backends
 # --------------------------------------------------------------------- #
 class TestEquivalence:
-    def test_serial_and_parallel_agree_on_loss_grads_and_predictions(
-        self, tiny_dataset, seeded_batch
-    ):
-        serial = make_exec("serial", tiny_dataset).open()
-        parallel = make_exec("parallel", tiny_dataset)
-        x, y = seeded_batch
-        serial_result = serial.train_step(None, (x, y))
-        with parallel:
-            parallel_result = parallel.train_step(None, (x, y))
-            prediction = parallel.predict(None, x)
-        assert isinstance(serial_result, StepResult)
-        np.testing.assert_allclose(parallel_result.loss, serial_result.loss, rtol=RTOL)
-        assert len(serial_result.grads) == len(parallel_result.grads)
-        for left, right in zip(serial_result.grads, parallel_result.grads):
-            assert (left is None) == (right is None)
-            if left is not None:
-                np.testing.assert_allclose(right, left, rtol=RTOL, atol=1e-12)
-        np.testing.assert_array_equal(prediction, serial.predict(None, x))
-        serial.close()
-
     def test_inference_matches_serial_predictions(self, tiny_dataset, seeded_batch):
         x, _ = seeded_batch
         with make_exec("serial", tiny_dataset) as serial, make_exec(
@@ -225,23 +192,24 @@ class TestExplicitWeightsOnPools:
             for name, value in weights.items():
                 np.testing.assert_array_equal(state[name], value)
 
-    def test_batch_axis_pool_loads_the_weights(self, tiny_dataset, seeded_batch):
-        weights = small_model(tiny_dataset.num_sensors, seed=9).state_dict()
-        with make_exec("parallel", tiny_dataset) as parallel:
-            parallel.train_step(weights, seeded_batch)
-            state = parallel.model.state_dict()
-        for name, value in weights.items():
-            np.testing.assert_array_equal(state[name], value)
-
 
 # --------------------------------------------------------------------- #
-# sensor sharding: axis selection + serial equivalence on one pool spawn
+# sensor sharding: which models shard + serial equivalence on one pool spawn
 # --------------------------------------------------------------------- #
 class TestShardedExecutor:
-    def test_batch_axis_fallback_for_sensor_mixing_models(self, tiny_dataset):
-        """ST-WA mixes across sensors, so sharding degrades to batch axis."""
-        executor = make_exec("sharded", tiny_dataset)
-        assert executor.shard_axis == "batch"
+    def test_sensor_mixing_model_is_refused_by_name(self, tiny_dataset):
+        """ST-WA mixes sensors in its forward, so it cannot be sensor-sharded."""
+        model = small_model(tiny_dataset.num_sensors)
+        with pytest.raises(
+            ValueError, match=r"^STWA cannot be sensor-sharded: it mixes sensors"
+        ):
+            make_executor(model, ExecutorSpec.sharded(n_workers=2))
+
+    def test_single_sensor_model_is_refused_by_name(self):
+        with pytest.raises(
+            ValueError, match=r"^SimSTForecaster cannot be sensor-sharded: it has 1 sensor"
+        ):
+            make_executor(small_simst(1), ExecutorSpec.sharded(n_workers=2))
 
     def test_sensor_sharded_matches_serial_on_simst(self, tiny_dataset, seeded_batch):
         """One pool spawn covers loss, gradient, stats, and predict parity."""
@@ -255,6 +223,7 @@ class TestShardedExecutor:
         with sharded:
             result = sharded.train_step(None, (x, y))
             prediction = sharded.predict(None, x)
+        assert isinstance(result, StepResult)
         assert result.stats["shard_axis"] == "sensor"
         np.testing.assert_allclose(result.loss, serial_result.loss, rtol=RTOL)
         assert len(result.grads) == len(serial_result.grads)
@@ -262,9 +231,7 @@ class TestShardedExecutor:
             assert (left is None) == (right is None)
             if left is not None:
                 np.testing.assert_allclose(right, left, rtol=RTOL, atol=1e-12)
-        np.testing.assert_allclose(
-            prediction, serial_prediction, rtol=0.0, atol=1e-12
-        )
+        np.testing.assert_array_equal(prediction, serial_prediction)
 
     def test_predict_keeps_single_window_rank(self, tiny_dataset, seeded_batch):
         x, _ = seeded_batch
@@ -330,10 +297,6 @@ class TestExecutorSpec:
         with pytest.raises(ValueError, match="kind"):
             ExecutorSpec(kind="quantum")
 
-    def test_parallel_needs_two_workers(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            ExecutorSpec.parallel(n_workers=1)
-
     def test_sharded_needs_two_workers(self):
         with pytest.raises(ValueError, match="n_workers"):
             ExecutorSpec.sharded(n_workers=1)
@@ -343,22 +306,24 @@ class TestExecutorSpec:
             ExecutorSpec(kind="serial", n_workers=2)
 
     def test_with_overrides(self):
-        spec = ExecutorSpec.parallel(n_workers=2).with_overrides(n_workers=4)
-        assert spec.n_workers == 4 and spec.kind == "parallel"
+        spec = ExecutorSpec.sharded(n_workers=2).with_overrides(n_workers=4)
+        assert spec.n_workers == 4 and spec.kind == "sharded"
 
     @pytest.mark.parametrize(
         "spec, expected",
         [
             (ExecutorSpec.serial(), SerialExecutor),
-            (ExecutorSpec.parallel(n_workers=2), ParallelExecutor),
+            (ExecutorSpec.sharded(n_workers=3), ShardedExecutor),
             (ExecutorSpec.inference(), InferenceExecutor),
             (ExecutorSpec.compiled(), CompiledExecutor),
             (ExecutorSpec.sharded(n_workers=2), ShardedExecutor),
         ],
     )
     def test_factory_dispatch(self, spec, expected, tiny_dataset):
-        executor = make_executor(small_model(tiny_dataset.num_sensors), spec)
+        build = small_simst if spec.kind == "sharded" else small_model
+        executor = make_executor(build(tiny_dataset.num_sensors), spec)
         assert type(executor) is expected
+        assert getattr(executor, "n_workers", spec.n_workers) == spec.n_workers
 
 
 # --------------------------------------------------------------------- #

@@ -165,29 +165,9 @@ class TestBenchReports:
     """The speedup-gated benches must always stamp their hardware contract.
 
     ``speedup_gate_enforced`` / ``cores_detected`` are how CI distinguishes
-    "the gate passed" from "the gate could not bite on this host" — both
-    parallel-bench and shard-bench reports must carry them at top level.
+    "the gate passed" from "the gate could not bite on this host" — the
+    shard-bench report must carry them at top level.
     """
-
-    def test_parallel_bench_report_carries_speedup_gate_flags(self, tmp_path, monkeypatch):
-        import json
-
-        from repro.harness import parallel_bench
-
-        monkeypatch.setattr(parallel_bench, "EQUIVALENCE_EPOCHS", 1)
-        _, report = parallel_bench.run(
-            settings=MICRO,
-            out_dir=tmp_path,
-            fast=True,
-            model_name="gru",
-            worker_counts=(2,),
-        )
-        assert isinstance(report["speedup_gate_enforced"], bool)
-        assert report["cores_detected"] >= 1
-        assert report["speedup_gate_enforced"] == (report["cores_detected"] >= 2)
-        saved = json.loads((tmp_path / "parallel_bench.json").read_text())
-        assert saved["speedup_gate_enforced"] == report["speedup_gate_enforced"]
-        assert "all_passed" in saved
 
     def test_shard_bench_report_carries_speedup_gate_flags(self, tmp_path, monkeypatch):
         import json

@@ -1,11 +1,12 @@
-"""Data-parallel training engine (repro.parallel).
+"""Sensor-sharded worker pool (repro.parallel).
 
 The headline tier-1 gate lives in :class:`TestTrainerEquivalence`:
-``Trainer(n_workers=2)`` must reproduce the serial loss trajectory within
-1e-6 relative tolerance over several epochs on a deterministic model.  The
-remaining classes unit-test the pieces that make that hold — contiguous
-sharding, deterministic tree reduction, the weight codec, worker RNG
-splitting, the shared-memory prefetcher, and worker failure translation.
+``Trainer`` on ``ExecutorSpec.sharded(n_workers=2)`` must reproduce the
+serial loss trajectory of a SimST model within 1e-12 relative tolerance
+over several epochs.  The remaining classes unit-test the pieces that make
+that hold — deterministic tree reduction, the weight codec, the
+shared-memory prefetcher, blocked shard steps, the shared batch arena, the
+caller's own shard, and worker failure translation.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import SimSTForecaster, make_deterministic_st_wa
+from repro.core import SimSTForecaster
 from repro.core.loss import STWALoss
 from repro.data import WindowSpec
 from repro.data.windows import BatchIterator, SlidingWindowDataset
-from repro.nn import Dropout
 from repro.nn.module import Parameter
 from repro.optim import all_reduce_gradients, tree_reduce
 from repro.parallel import (
@@ -28,24 +28,33 @@ from repro.parallel import (
     WorkerError,
     WorkerPool,
     default_start_method,
-    shard_batch,
+    sensor_shard_ranges,
 )
 from repro.parallel.engine import BLOCK_ROWS, sensor_blocks
 from repro.exec import ExecutorSpec, SerialExecutor, ShardedExecutor
-from repro.tensor import Tensor, reseed_module_generators, spawn_streams, worker_seed_sequence
+from repro.tensor import Tensor
 from repro.training import Trainer, TrainerConfig, dumps_state_dict, loads_state_dict
 
 SPEC = WindowSpec(12, 12)
+TRAJECTORY_RTOL = 1e-12
 
 
-def small_det_model(num_sensors: int = 8, seed: int = 0):
-    """A tiny deterministic ST-WA: full architecture, exact parallel math."""
-    return make_deterministic_st_wa(
-        num_sensors, model_dim=8, skip_dim=8, predictor_hidden=16, seed=seed
+def small_simst(tiny_dataset, seed: int = 0) -> SimSTForecaster:
+    """A tiny SimST over the dataset's road network: exact sharded math."""
+    return SimSTForecaster(
+        tiny_dataset.num_sensors,
+        tiny_dataset.adjacency,
+        history=SPEC.history,
+        horizon=SPEC.horizon,
+        hidden=8,
+        embedding_dim=4,
+        predictor_hidden=16,
+        num_neighbors=3,
+        seed=seed,
     )
 
 
-def parallel_trainer(tiny_dataset, n_workers: int = 0, **overrides):
+def sharded_trainer(tiny_dataset, n_workers: int = 0, **overrides):
     config = dict(
         epochs=3,
         batch_size=16,
@@ -56,43 +65,13 @@ def parallel_trainer(tiny_dataset, n_workers: int = 0, **overrides):
         patience=10_000,
     )
     prefetch = overrides.pop("prefetch", True)
-    start_method = overrides.pop("parallel_start_method", None)
+    start_method = overrides.pop("start_method", None)
     if n_workers >= 2:
-        config["executor"] = ExecutorSpec.parallel(
+        config["executor"] = ExecutorSpec.sharded(
             n_workers=n_workers, prefetch=prefetch, start_method=start_method
         )
     config.update(overrides)
-    model = small_det_model(tiny_dataset.num_sensors)
-    return Trainer(model, tiny_dataset, SPEC, TrainerConfig(**config))
-
-
-# --------------------------------------------------------------------- #
-# sharding
-# --------------------------------------------------------------------- #
-class TestShardBatch:
-    def test_concat_reproduces_batch(self, rng):
-        x = rng.normal(size=(10, 4, 3, 1))
-        y = rng.normal(size=(10, 4, 2, 1))
-        shards = shard_batch(x, y, 3)
-        assert len(shards) == 3
-        np.testing.assert_array_equal(np.concatenate([s[0] for s in shards]), x)
-        np.testing.assert_array_equal(np.concatenate([s[1] for s in shards]), y)
-
-    def test_small_batch_never_yields_empty_shards(self, rng):
-        x = rng.normal(size=(2, 4, 3, 1))
-        y = rng.normal(size=(2, 4, 2, 1))
-        shards = shard_batch(x, y, 4)
-        assert len(shards) == 2
-        assert all(len(xs) >= 1 for xs, _ in shards)
-
-    def test_batch_size_mismatch_raises(self, rng):
-        with pytest.raises(ValueError, match="disagree"):
-            shard_batch(rng.normal(size=(4, 2)), rng.normal(size=(3, 2)), 2)
-
-    def test_empty_batch_raises(self):
-        empty = np.empty((0, 4, 3, 1))
-        with pytest.raises(ValueError, match="empty"):
-            shard_batch(empty, empty, 2)
+    return Trainer(small_simst(tiny_dataset), tiny_dataset, SPEC, TrainerConfig(**config))
 
 
 # --------------------------------------------------------------------- #
@@ -151,62 +130,11 @@ class TestAllReduceGradients:
 
 
 # --------------------------------------------------------------------- #
-# RNG stream splitting
-# --------------------------------------------------------------------- #
-class TestRngStreams:
-    def test_spawn_streams_reproducible(self):
-        a = [g.normal(size=4) for g in spawn_streams(11, 3)]
-        b = [g.normal(size=4) for g in spawn_streams(11, 3)]
-        for left, right in zip(a, b):
-            np.testing.assert_array_equal(left, right)
-
-    def test_spawn_streams_distinct(self):
-        draws = [g.normal(size=8) for g in spawn_streams(11, 4)]
-        for i in range(len(draws)):
-            for j in range(i + 1, len(draws)):
-                assert not np.allclose(draws[i], draws[j])
-
-    def test_stream_i_independent_of_n(self):
-        two = spawn_streams(5, 2)[0].normal(size=6)
-        four = spawn_streams(5, 4)[0].normal(size=6)
-        np.testing.assert_array_equal(two, four)
-
-    def test_worker_seed_sequences_distinct_by_worker_and_key(self):
-        sequences = [
-            worker_seed_sequence(0, 0, "a"),
-            worker_seed_sequence(0, 1, "a"),
-            worker_seed_sequence(0, 0, "b"),
-            worker_seed_sequence(1, 0, "a"),
-        ]
-        states = [tuple(s.generate_state(4)) for s in sequences]
-        assert len(set(states)) == len(states)
-
-    def test_negative_worker_raises(self):
-        with pytest.raises(ValueError):
-            worker_seed_sequence(0, -1)
-
-    def test_reseed_module_generators(self):
-        module_a, module_b = Dropout(0.5), Dropout(0.5)
-        named_a = reseed_module_generators(module_a, seed=3, worker_id=0)
-        named_b = reseed_module_generators(module_b, seed=3, worker_id=1)
-        assert set(named_a) == {"_rng"} and set(named_b) == {"_rng"}
-        # workers draw different noise; the same worker id reproduces its own
-        assert not np.allclose(module_a._rng.normal(size=8), module_b._rng.normal(size=8))
-        module_c = Dropout(0.5)
-        reseed_module_generators(module_c, seed=3, worker_id=1)
-        module_d = Dropout(0.5)
-        reseed_module_generators(module_d, seed=3, worker_id=1)
-        np.testing.assert_array_equal(
-            module_c._rng.normal(size=8), module_d._rng.normal(size=8)
-        )
-
-
-# --------------------------------------------------------------------- #
 # weight wire codec
 # --------------------------------------------------------------------- #
 class TestWeightCodec:
-    def test_round_trip_preserves_arrays(self):
-        model = small_det_model()
+    def test_round_trip_preserves_arrays(self, tiny_dataset):
+        model = small_simst(tiny_dataset)
         state = model.state_dict()
         restored = loads_state_dict(dumps_state_dict(state))
         assert set(restored) == set(state)
@@ -268,22 +196,30 @@ class TestWorkerPool:
         x, y = windows.sample(np.arange(size))
         return x, y  # y already scaled (data==raw here): fine for loss math
 
+    def make_pool(self, model, **config):
+        return WorkerPool(
+            model,
+            ParallelConfig(**config),
+            sensor_ranges=sensor_shard_ranges(model.num_sensors, 2),
+            huber_delta=1.0,
+            kl_weight=0.0,
+        )
+
     def test_step_matches_serial_loss(self, tiny_dataset):
-        model = small_det_model(tiny_dataset.num_sensors)
+        model = small_simst(tiny_dataset)
         x, y = self.make_batch(tiny_dataset)
-        config = ParallelConfig(n_workers=2, seed=0)
-        with WorkerPool(model, config, huber_delta=1.0, kl_weight=0.02) as pool:
+        with self.make_pool(model) as pool:
             blob = dumps_state_dict(model.state_dict())
-            results = pool.train_step(blob, shard_batch(x, y, 2))
-        assert len(results) == 2
+            results = pool.sensor_step(blob, x, y)
+        assert [r.worker_id for r in results] == [0, 1]
         assert all(np.isfinite(r.loss) for r in results)
         # shard weights are the finite target element counts
         assert sum(r.weight for r in results) == float(np.isfinite(y).sum())
         total = sum(r.weight for r in results)
         combined = sum(r.weight * r.loss for r in results) / total
         model.train()
-        # deterministic model: weighted shard mean == full-batch loss
-        loss = STWALoss(delta=1.0, kl_weight=0.02)(model(Tensor(x)), Tensor(y), model=None)
+        # weighted shard mean == full-batch loss
+        loss = STWALoss(delta=1.0, kl_weight=0.0)(model(Tensor(x)), Tensor(y))
         np.testing.assert_allclose(combined, float(loss.item()), rtol=1e-12)
         # gradients align with the parameter list and carry data
         parameters = model.parameters()
@@ -292,39 +228,39 @@ class TestWorkerPool:
             assert any(g is not None and np.any(g != 0) for g in result.grads)
 
     def test_floating_point_error_translated(self, tiny_dataset):
-        model = small_det_model(tiny_dataset.num_sensors)
+        model = small_simst(tiny_dataset)
         x, y = self.make_batch(tiny_dataset, size=4)
         x = x.copy()
-        x[0] = np.nan  # anomaly screen trips inside the worker
-        config = ParallelConfig(n_workers=2, seed=0, detect_anomaly=True)
-        with WorkerPool(model, config, huber_delta=1.0, kl_weight=0.02) as pool:
+        x[:, -1] = np.nan  # the anomaly screen trips inside the child's shard
+        with self.make_pool(model, detect_anomaly=True) as pool:
             blob = dumps_state_dict(model.state_dict())
-            with pytest.raises(FloatingPointError, match="worker"):
-                pool.train_step(blob, shard_batch(x, y, 2))
+            with pytest.raises(FloatingPointError, match="worker 1:"):
+                pool.sensor_step(blob, x, y)
             # pipes stayed in sync: the pool still serves clean steps (this
             # is what lets RecoveryPolicy roll back and retry)
             x_ok, y_ok = self.make_batch(tiny_dataset, size=4)
-            results = pool.train_step(blob, shard_batch(x_ok, y_ok, 2))
+            results = pool.sensor_step(blob, x_ok, y_ok)
             assert all(np.isfinite(r.loss) for r in results)
 
-    def test_too_many_shards_raises(self, tiny_dataset):
-        model = small_det_model(tiny_dataset.num_sensors)
-        x, y = self.make_batch(tiny_dataset, size=6)
-        with WorkerPool(model, ParallelConfig(n_workers=2), huber_delta=1.0, kl_weight=0.0) as pool:
-            with pytest.raises(ValueError, match="exceed"):
-                pool.train_step(None, shard_batch(x, y, 3) + [(x[:1], y[:1])])
-
     def test_closed_pool_raises(self, tiny_dataset):
-        model = small_det_model(tiny_dataset.num_sensors)
-        pool = WorkerPool(model, ParallelConfig(n_workers=2), huber_delta=1.0, kl_weight=0.0)
+        model = small_simst(tiny_dataset)
+        pool = self.make_pool(model)
         pool.close()
         pool.close()  # idempotent
+        x, y = self.make_batch(tiny_dataset, size=2)
         with pytest.raises(WorkerError, match="closed"):
-            pool.train_step(None, [(np.zeros((1, 2)), np.zeros((1, 2)))])
+            pool.sensor_step(None, x, y)
+        with pytest.raises(WorkerError, match="closed"):
+            pool.sensor_predict(None, x)
 
-    def test_config_rejects_single_worker(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            ParallelConfig(n_workers=1)
+    def test_config_rejects_single_worker(self, tiny_dataset):
+        """A pool of one shard would only be a slower serial step."""
+        model = small_simst(tiny_dataset)
+        with pytest.raises(ValueError, match="at least 2 shards"):
+            WorkerPool(
+                model, ParallelConfig(), sensor_ranges=[(0, model.num_sensors)],
+                huber_delta=1.0, kl_weight=0.0,
+            )
 
     def test_default_start_method_is_valid(self):
         import multiprocessing
@@ -337,59 +273,60 @@ class TestWorkerPool:
 # --------------------------------------------------------------------- #
 class TestTrainerEquivalence:
     def test_two_workers_match_serial_trajectory(self, tiny_dataset):
-        """Tier-1 gate: n_workers=2 == serial within 1e-6 over 3 epochs."""
-        serial = parallel_trainer(tiny_dataset, n_workers=0).fit()
-        parallel = parallel_trainer(tiny_dataset, n_workers=2).fit()
-        assert parallel.epochs_run == serial.epochs_run == 3
-        np.testing.assert_allclose(parallel.train_loss, serial.train_loss, rtol=1e-6)
-        np.testing.assert_allclose(parallel.val_mae, serial.val_mae, rtol=1e-6)
+        """Tier-1 gate: two sensor shards == serial within 1e-12 over 3 epochs."""
+        serial = sharded_trainer(tiny_dataset, n_workers=0).fit()
+        trainer = sharded_trainer(tiny_dataset, n_workers=2)
+        assert trainer.executor.shard_axis == "sensor"
+        sharded = trainer.fit()
+        assert sharded.epochs_run == serial.epochs_run == 3
+        np.testing.assert_allclose(sharded.train_loss, serial.train_loss, rtol=TRAJECTORY_RTOL)
+        np.testing.assert_allclose(sharded.val_mae, serial.val_mae, rtol=TRAJECTORY_RTOL)
 
     def test_parallel_run_is_deterministic(self, tiny_dataset):
-        a = parallel_trainer(tiny_dataset, n_workers=2).fit()
-        b = parallel_trainer(tiny_dataset, n_workers=2).fit()
+        a = sharded_trainer(tiny_dataset, n_workers=2).fit()
+        b = sharded_trainer(tiny_dataset, n_workers=2).fit()
         np.testing.assert_array_equal(a.train_loss, b.train_loss)
+        np.testing.assert_array_equal(a.val_mae, b.val_mae)
 
     def test_pool_closed_after_fit(self, tiny_dataset):
-        trainer = parallel_trainer(tiny_dataset, n_workers=2, epochs=1, max_batches_per_epoch=2)
+        trainer = sharded_trainer(tiny_dataset, n_workers=2, epochs=1, max_batches_per_epoch=2)
         trainer.fit()
         assert not trainer.executor.is_open
         assert trainer.executor._pool is None
 
     def test_equivalence_without_prefetch(self, tiny_dataset):
-        serial = parallel_trainer(tiny_dataset, n_workers=0, epochs=2).fit()
-        parallel = parallel_trainer(tiny_dataset, n_workers=2, epochs=2, prefetch=False).fit()
-        np.testing.assert_allclose(parallel.train_loss, serial.train_loss, rtol=1e-6)
+        serial = sharded_trainer(tiny_dataset, n_workers=0, epochs=2).fit()
+        sharded = sharded_trainer(tiny_dataset, n_workers=2, epochs=2, prefetch=False).fit()
+        np.testing.assert_allclose(sharded.train_loss, serial.train_loss, rtol=TRAJECTORY_RTOL)
 
     def test_checkpoint_resume_under_parallel(self, tiny_dataset, tmp_path):
-        full = parallel_trainer(tiny_dataset, n_workers=2, epochs=3).fit()
-        first = parallel_trainer(
-            tiny_dataset, n_workers=2, epochs=2, checkpoint_dir=tmp_path
-        )
+        full = sharded_trainer(tiny_dataset, n_workers=2, epochs=3).fit()
+        first = sharded_trainer(tiny_dataset, n_workers=2, epochs=2, checkpoint_dir=tmp_path)
         first.fit()
         from repro.training import latest_checkpoint
 
-        resumed_trainer = parallel_trainer(
+        resumed_trainer = sharded_trainer(
             tiny_dataset, n_workers=2, epochs=3, checkpoint_dir=tmp_path
         )
         resumed = resumed_trainer.fit(resume_from=latest_checkpoint(tmp_path))
-        np.testing.assert_allclose(resumed.train_loss, full.train_loss, rtol=1e-6)
+        np.testing.assert_allclose(resumed.train_loss, full.train_loss, rtol=TRAJECTORY_RTOL)
 
     def test_parallel_sections_reach_profiler(self, tiny_dataset):
         from repro.obs import profile
 
         with profile() as profiler:
-            parallel_trainer(tiny_dataset, n_workers=2, epochs=1, max_batches_per_epoch=2).fit()
+            sharded_trainer(tiny_dataset, n_workers=2, epochs=1, max_batches_per_epoch=2).fit()
         names = set(profiler.parallel)
-        assert {"serialize", "reduce", "worker0", "worker1"} <= names
+        assert {"serialize", "augment", "reduce", "worker0", "worker1"} <= names
 
     @pytest.mark.slow
     def test_spawn_start_method_smoke(self, tiny_dataset):
-        trainer = parallel_trainer(
+        trainer = sharded_trainer(
             tiny_dataset,
             n_workers=2,
             epochs=1,
             max_batches_per_epoch=2,
-            parallel_start_method="spawn",
+            start_method="spawn",
         )
         history = trainer.fit()
         assert np.isfinite(history.train_loss[0])
@@ -413,8 +350,6 @@ class TestSensorBlocks:
         ]
 
     def test_single_block_cases(self):
-        # a batch-axis shard: the whole shard, no sensor range to set
-        assert sensor_blocks(None, batch=16) == [(slice(None), None)]
         # a slice smaller than one block
         assert sensor_blocks((3, 9), batch=16) == [(slice(0, 6), (3, 9))]
         # a batch wider than BLOCK_ROWS still steps one sensor at a time

@@ -6,10 +6,12 @@ generator — ragged sensor counts not divisible by the shard count, K=1,
 K > N, NaN-masked targets — and asserts two properties the sharded
 execution path (:class:`repro.exec.ShardedExecutor`) is built on:
 
-* **Bit-exact reassembly** — ``unshard_sensors(shard_sensors(...))`` and
-  ``concatenate(shard_batch(...))`` reproduce the original arrays exactly
-  (``equal_nan=True`` for masked targets: NaN positions ride along
-  untouched), and the shard layout matches :func:`sensor_shard_ranges`.
+* **Bit-exact reassembly** — ``unshard_sensors(shard_sensors(...))``
+  reproduces the original arrays exactly, and so does a batch written
+  back to back into a flat arena and viewed again (the layout the pool's
+  shared arena uses; ``equal_nan=True`` for masked targets: NaN positions
+  ride along untouched), and the shard layout matches
+  :func:`sensor_shard_ranges`.
 * **Gradient equality** — recombining per-shard losses/gradients with the
   finite-target-count all-reduce (:func:`repro.optim.all_reduce_gradients`)
   reproduces the serial loss and every serial gradient to 1e-12, on both
@@ -28,10 +30,10 @@ from repro.core.loss import STWALoss
 from repro.optim import all_reduce_gradients
 from repro.parallel import (
     sensor_shard_ranges,
-    shard_batch,
     shard_sensors,
     unshard_sensors,
 )
+from repro.parallel.engine import _arena_views
 from repro.tensor import Tensor
 
 ROUND_TRIP_CASES = 60
@@ -74,15 +76,18 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("case", range(ROUND_TRIP_CASES))
     def test_batch_round_trip(self, case):
+        """A batch laid out back to back in an arena reads back exactly."""
         rng = np.random.default_rng(2000 + case)
-        x, y, n_shards = _draw_batch(rng)
-        pieces = shard_batch(x, y, n_shards)
-        assert len(pieces) == min(n_shards, len(x))
-        assert all(len(xs) == len(ys) > 0 for xs, ys in pieces)
-        assert np.array_equal(np.concatenate([xs for xs, _ in pieces]), x)
-        assert np.array_equal(
-            np.concatenate([ys for _, ys in pieces]), y, equal_nan=True
-        )
+        x, y, _ = _draw_batch(rng)
+        spare = int(rng.integers(0, 9))  # an arena larger than the batch
+        arena = np.full(x.size + y.size + spare, -1.0)
+        for array, view in zip((x, y), _arena_views(arena, [x.shape, y.shape])):
+            view[...] = array
+        x_view, y_view = _arena_views(arena, [x.shape, y.shape])
+        assert np.shares_memory(x_view, arena) and np.shares_memory(y_view, arena)
+        assert np.array_equal(x_view, x)
+        assert np.array_equal(y_view, y, equal_nan=True)
+        assert np.all(arena[x.size + y.size :] == -1.0)  # nothing written past it
 
     @pytest.mark.parametrize("case", range(ROUND_TRIP_CASES))
     def test_range_partition(self, case):
@@ -110,10 +115,6 @@ class TestRoundTrips:
             shard_sensors(np.zeros(4), np.zeros(4), 2)
         with pytest.raises(ValueError, match="sensor count"):
             shard_sensors(x, y[:, :3], 2)
-        with pytest.raises(ValueError, match="empty batch"):
-            shard_batch(x[:0], y[:0], 2)
-        with pytest.raises(ValueError, match="batch size"):
-            shard_batch(x, y[:1], 2)
         with pytest.raises(ValueError, match="nothing to unshard"):
             unshard_sensors([])
 

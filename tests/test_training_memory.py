@@ -109,7 +109,7 @@ class TestCapacityPlanner:
         assert plan.sensor_shardable
 
     def test_shard_solver_uses_ceil_split(self):
-        """shards_needed is the smallest K whose ceil(N/K)-sensor step fits."""
+        """shards_needed is the smallest K whose ceil(N/K)-sensor shard step fits."""
         planner = CapacityPlanner()
         num_sensors = 10_000
         budget = planner.family_gb("per_sensor", num_sensors) / 3.5
@@ -118,10 +118,39 @@ class TestCapacityPlanner:
         assert not plan.fits
         k = plan.shards_needed
         assert k is not None and k > 1
-        per_shard = -(-num_sensors // k)
-        assert tight.family_gb("per_sensor", per_shard) <= budget
-        previous = -(-num_sensors // (k - 1))
-        assert tight.family_gb("per_sensor", previous) > budget
+        assert tight.shard_gb("per_sensor", num_sensors, k) <= budget
+        if k > 2:
+            assert tight.shard_gb("per_sensor", num_sensors, k - 1) > budget
+        # the largest shard decides: 10_001 sensors in 3 shards is 3_334 each
+        assert tight.shard_gb("per_sensor", 10_001, 3) == tight.shard_gb(
+            "per_sensor", 3 * 3_334, 3
+        )
+
+    def test_per_sensor_shard_models_the_block(self):
+        """A per-sensor shard holds its shard-sized arrays plus one block's
+        activations; a sensor-mixing family's shard is the family at N/K."""
+        from repro.parallel.engine import BLOCK_ROWS
+
+        planner = CapacityPlanner(dims=ModelDims(batch=4), bytes_per_element=8)
+        block_gb = planner.family_gb("per_sensor", BLOCK_ROWS // 4)
+        per_sensor_array_gb = 8 * 2.0 * 4 * (2 * 12 + 2 * 12) / 1024**3
+        for n_shards in (2, 3, 8):
+            per_shard = -(-10_000 // n_shards)
+            assert planner.shard_gb("per_sensor", 10_000, n_shards) == pytest.approx(
+                block_gb + per_shard * per_sensor_array_gb, rel=1e-12
+            )
+            assert planner.shard_gb("per_sensor", 10_000, n_shards) < planner.family_gb(
+                "per_sensor", per_shard
+            )
+        # a shard narrower than one block is one block of its own width
+        assert planner.shard_gb("per_sensor", 20, 2) == pytest.approx(
+            planner.family_gb("per_sensor", 10) + 10 * per_sensor_array_gb, rel=1e-12
+        )
+        assert planner.shard_gb("graph_conv", 10_000, 4) == planner.family_gb(
+            "graph_conv", 2_500
+        )
+        with pytest.raises(ValueError, match="n_shards"):
+            planner.shard_gb("per_sensor", 10_000, 0)
 
     def test_quadratic_families_cannot_be_saved_by_sharding(self):
         plan = CapacityPlanner().plan("stfgnn", 50_000)

@@ -190,3 +190,35 @@ class TestShardedEvaluation:
         assert len(pool_batches) == 6
         for name, value in hook.metrics.items():
             np.testing.assert_allclose(value, in_process[name], rtol=1e-12, atol=0.0)
+
+
+class _AfterBatchOnly:
+    """A hook with only ``after_batch`` (the shape of a step clock)."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def after_batch(self, trainer, epoch, batch_index):
+        self.calls += 1
+
+
+class TestBatchHookValidation:
+    """A ``batch_hook`` the loop would never call is refused at construction."""
+
+    def test_plain_function_raises(self, tiny_dataset):
+        def hook(trainer, epoch, batch_index):  # pragma: no cover - never called
+            pass
+
+        with pytest.raises(TypeError, match=r"after_backward or an after_batch.*function"):
+            small_trainer(tiny_dataset, batch_hook=hook)
+
+    def test_fault_injector_accepted(self, tiny_dataset):
+        from repro.resilience import FaultInjector
+
+        trainer = small_trainer(tiny_dataset, batch_hook=FaultInjector([]))
+        assert isinstance(trainer.config.batch_hook, FaultInjector)
+
+    def test_after_batch_only_hook_accepted_and_called(self, tiny_dataset):
+        hook = _AfterBatchOnly()
+        small_trainer(tiny_dataset, epochs=1, max_batches_per_epoch=2, batch_hook=hook).fit()
+        assert hook.calls == 2
