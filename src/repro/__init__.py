@@ -35,8 +35,8 @@ Subpackages
     to preallocated instruction programs (``ExecutorSpec(kind="compiled")``).
 ``repro.parallel``
     Multiprocess sensor-sharded training: worker pool over contiguous
-    sensor ranges, gradient all-reduce, shared-memory batch prefetching
-    (``ExecutorSpec.sharded(...)``, graph-free SimST only).
+    sensor ranges, one shared arena for weights and batches, gradient
+    all-reduce (``ExecutorSpec.sharded(...)``, graph-free SimST only).
 ``repro.serve``
     Online inference: artifacts, micro-batching, caching, latency SLOs.
 ``repro.fleet``

@@ -154,6 +154,11 @@ class Executor(abc.ABC):
                 f"(state is {self._state!r}; call open() first)"
             )
 
+    def _load(self, weights: Weights) -> None:
+        """Load a step's ``weights`` into the model (``None`` keeps its own)."""
+        if weights is not None:
+            self.model.load_state_dict(weights)
+
     def _acquire(self) -> None:  # pragma: no cover - trivial default
         """Subclass hook: acquire resources.  Default: nothing to acquire."""
 
@@ -200,12 +205,10 @@ class Executor(abc.ABC):
     ):
         """The training-batch source this executor prefers.
 
-        The default is the in-process
-        :class:`repro.data.windows.BatchIterator`; implementations that
-        overlap batch assembly with compute (the sharded executor's
-        shared-memory prefetcher) override this.  Both draw the epoch order
-        from the caller's ``rng`` with identical consumption, so swapping
-        executors never changes which samples land in which batch.
+        The in-process :class:`repro.data.windows.BatchIterator` for every
+        executor kind.  It draws the epoch order from the caller's ``rng``,
+        so swapping executors never changes which samples land in which
+        batch.
         """
         from ..data.windows import BatchIterator
 

@@ -66,8 +66,7 @@ class InferenceExecutor(Executor):
         inverse scaling out — raw units end to end.
         """
         self._require_open("predict")
-        if weights is not None:
-            self.model.load_state_dict(weights)
+        self._load(weights)
         array = np.asarray(inputs, dtype=np.float64)
         squeeze = array.ndim == 3
         window = array[None] if squeeze else array

@@ -45,8 +45,7 @@ class SerialExecutor(Executor):
         """One forward/backward; gradients land on the model's parameters."""
         self._require_open("train_step")
         x, y = batch
-        if weights is not None:
-            self.model.load_state_dict(weights)
+        self._load(weights)
         start = time.perf_counter()
         target = Tensor(y)
         for parameter in self._parameters:
@@ -71,6 +70,5 @@ class SerialExecutor(Executor):
     def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:
         """Eval-mode inference forward in scaled model space."""
         self._require_open("predict")
-        if weights is not None:
-            self.model.load_state_dict(weights)
+        self._load(weights)
         return eval_forward(self.model, inputs)

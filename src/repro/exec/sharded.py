@@ -13,11 +13,12 @@ track's parameters stay ``O(N·E)`` (see DESIGN.md §15 and
 
 Every ``train_step``:
 
-1. loads the step's ``weights`` into the model when given, then
-   serializes them once through the schema-v2 checkpoint codec (the
-   model's current state when ``None``),
-2. writes the raw batch once into the pool's shared arena and runs every
-   shard's forward/backward (:meth:`repro.parallel.WorkerPool.sensor_step`),
+1. loads the step's ``weights`` into the model when given (the model's
+   current state when ``None``),
+2. writes the parameters and the raw batch once into the pool's shared
+   arena and runs every shard's forward/backward
+   (:meth:`repro.parallel.WorkerPool.sensor_step`); the caller's shard
+   computes on the model's own parameters,
 3. tree-reduces the shard gradients into the model's parameters
    (:func:`repro.optim.all_reduce_gradients`) and combines the losses as
    the finite-count-weighted mean — exactly the loss and gradient serial
@@ -27,7 +28,8 @@ The pool is a real resource: :meth:`open` starts the worker processes
 (pickling the model exactly once) and :meth:`close` stops them; a closed
 executor can be re-opened, which starts a fresh pool.  Worker/serialize/
 augment/reduce wall times are attributed to the active :mod:`repro.obs`
-profiler's ``parallel`` section and mirrored into :class:`StepResult.stats`.
+profiler's ``parallel`` section and mirrored into :class:`StepResult.stats`;
+``serialize`` is the parameter copy into the arena.
 
 Process topology
 ----------------
@@ -122,7 +124,6 @@ class ShardedExecutor(Executor):
         *,
         n_workers: int = 2,
         start_method: Optional[str] = None,
-        prefetch: bool = True,
         detect_anomaly: bool = False,
         step_timeout: float = 300.0,
         huber_delta: float = 1.0,
@@ -136,7 +137,6 @@ class ShardedExecutor(Executor):
         super().__init__(model)
         self.n_workers = n_workers
         self.start_method = start_method
-        self.prefetch = prefetch
         self.detect_anomaly = detect_anomaly
         self.step_timeout = step_timeout
         self.huber_delta = huber_delta
@@ -185,18 +185,14 @@ class ShardedExecutor(Executor):
         self._require_open("train_step")
         from ..obs import current_profiler
         from ..optim import all_reduce_gradients
-        from ..training import checkpoint as checkpoint_module
 
         x, y = batch
-        if weights is not None:
-            # the caller's shard computes with the model's weights
-            self.model.load_state_dict(weights)
-        serialize_start = time.perf_counter()
-        state = weights if weights is not None else self.model.state_dict()
-        weights_blob = checkpoint_module.dumps_state_dict(state)
-        stats = {"serialize": time.perf_counter() - serialize_start}
-        results = self._pool.sensor_step(weights_blob, x, y)
-        stats["augment"] = max(result.augment for result in results)
+        self._load(weights)  # the caller's shard computes with the model's weights
+        results = self._pool.sensor_step(x, y)
+        stats = {
+            "serialize": self._pool.serialize_seconds,
+            "augment": max(result.augment for result in results),
+        }
         reduce_start = time.perf_counter()
         total = all_reduce_gradients(
             self._parameters,
@@ -225,35 +221,6 @@ class ShardedExecutor(Executor):
             stats=stats,
         )
 
-    def make_batch_iterator(
-        self,
-        windows,
-        *,
-        batch_size: int,
-        shuffle: bool = True,
-        rng=None,
-        max_batches: Optional[int] = None,
-    ):
-        """Shared-memory prefetching iterator (unless ``prefetch=False``)."""
-        if not self.prefetch:
-            return super().make_batch_iterator(
-                windows,
-                batch_size=batch_size,
-                shuffle=shuffle,
-                rng=rng,
-                max_batches=max_batches,
-            )
-        from ..parallel import PrefetchingBatchIterator
-
-        return PrefetchingBatchIterator(
-            windows,
-            batch_size=batch_size,
-            shuffle=shuffle,
-            rng=rng,
-            max_batches=max_batches,
-            start_method=self.start_method,
-        )
-
     # ------------------------------------------------------------------ #
     # serving: shard-fanout prediction across the same pool
     # ------------------------------------------------------------------ #
@@ -263,16 +230,14 @@ class ShardedExecutor(Executor):
         Accepts ``(N, H, F)`` or ``(B, N, H, F)`` windows, applies the
         configured scaler around the forward like
         :class:`~repro.exec.inference.InferenceExecutor`, and always ships
-        the current weights — the workers' copies are stale after any
-        optimizer step in this process.  The caller's own shard reads the
-        model's weights directly.
+        the current parameters through the pool's arena — the workers'
+        copies are stale after any optimizer step in this process.  The
+        caller's own shard reads the model's parameters directly.
         """
         self._require_open("predict")
         from ..parallel import unshard_sensors
-        from ..training import checkpoint as checkpoint_module
 
-        if weights is not None:
-            self.model.load_state_dict(weights)
+        self._load(weights)
         array = np.asarray(inputs, dtype=np.float64)
         squeeze = array.ndim == 3
         window = array[None] if squeeze else array
@@ -284,8 +249,7 @@ class ShardedExecutor(Executor):
             )
         if self.scaler is not None:
             window = self.scaler.transform(window)
-        weights_blob = checkpoint_module.dumps_state_dict(self.model.state_dict())
-        forecast = unshard_sensors(self._pool.sensor_predict(weights_blob, window))
+        forecast = unshard_sensors(self._pool.sensor_predict(window))
         if self.scaler is not None:
             forecast = self.scaler.inverse_transform(forecast)
         return forecast[0] if squeeze else forecast

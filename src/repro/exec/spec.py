@@ -45,9 +45,6 @@ class ExecutorSpec:
         Worker-pool knobs, meaningful for ``kind="sharded"`` only.
         ``n_workers`` counts shards: the pool computes one of them in the
         calling process and starts ``n_workers - 1`` worker processes.
-    prefetch:
-        Assemble training batches in a background shared-memory process
-        (sharded kind only; serial assembly is already overlapped by nothing).
     detect_anomaly:
         Per-op NaN/Inf screening during training steps (slow; debugging).
     """
@@ -55,7 +52,6 @@ class ExecutorSpec:
     kind: str = "serial"
     n_workers: int = 0
     start_method: Optional[str] = None  # fork | spawn | None (auto)
-    prefetch: bool = True
     detect_anomaly: bool = False
     step_timeout: float = 300.0
 
@@ -86,7 +82,6 @@ class ExecutorSpec:
         n_workers: int = 2,
         *,
         start_method: Optional[str] = None,
-        prefetch: bool = True,
         detect_anomaly: bool = False,
         step_timeout: float = 300.0,
     ) -> "ExecutorSpec":
@@ -97,7 +92,6 @@ class ExecutorSpec:
             kind="sharded",
             n_workers=n_workers,
             start_method=start_method,
-            prefetch=prefetch,
             detect_anomaly=detect_anomaly,
             step_timeout=step_timeout,
         )
@@ -160,7 +154,6 @@ def make_executor(
             model,
             n_workers=spec.n_workers,
             start_method=spec.start_method,
-            prefetch=spec.prefetch,
             detect_anomaly=spec.detect_anomaly,
             step_timeout=spec.step_timeout,
             huber_delta=huber_delta,

@@ -183,6 +183,16 @@ def _build_city_model(num_sensors: int, seed: int):
     )
 
 
+def _city_planner(batch: int):
+    """The planner at the city model's dimensions, in float64 bytes."""
+    from ..training.memory import CapacityPlanner, ModelDims
+
+    return CapacityPlanner(
+        dims=ModelDims(batch=batch, history=HISTORY, horizon=HORIZON, hidden=64, proxies=8),
+        bytes_per_element=8,  # this substrate trains in float64
+    )
+
+
 def _city_scale_check(
     num_sensors: int,
     n_workers: int,
@@ -193,17 +203,13 @@ def _city_scale_check(
 ) -> Dict[str, object]:
     """Train + serve SimST at N sensors inside the planner's envelope."""
     from ..exec.base import eval_forward
-    from ..training.memory import CapacityPlanner, ModelDims
 
     rng = np.random.default_rng(seed)
     batch = 4
     x = rng.standard_normal((batch, num_sensors, HISTORY, 1))
     y = rng.standard_normal((batch, num_sensors, HORIZON, 1))
 
-    planner = CapacityPlanner(
-        dims=ModelDims(batch=batch, history=HISTORY, horizon=HORIZON, hidden=64, proxies=8),
-        bytes_per_element=8,  # this substrate trains in float64
-    )
+    planner = _city_planner(batch)
     predicted_gb = planner.family_gb("per_sensor", num_sensors)
     envelope_gb = predicted_gb * envelope_slack
     predicted_shard_gb = planner.shard_gb("per_sensor", num_sensors, n_workers)

@@ -3,17 +3,15 @@
 One :class:`WorkerPool` owns the long-lived worker processes of K sensor
 shards.  Every training step the parent
 
-1. serializes the current weights once with the schema-v2 checkpoint codec
-   (:func:`repro.training.dumps_state_dict` — fork/spawn-safe, no pickled
-   code objects on the weight path),
-2. writes the raw batch once into a shared arena and sends every worker
-   only the weights and the batch shape; each shard augments and slices
-   its own sensor range,
-3. computes shard 0 itself, on a private view of its own model that shares
+1. copies the current parameters and then the raw batch into one shared
+   arena and sends every worker only their shapes; each worker copies the
+   parameters into its own model, then augments and slices its own sensor
+   range,
+2. computes shard 0 itself, on a private view of its own model that shares
    the parameters (:func:`_shard_view`), with the same code a worker runs
    (:class:`_Shard`), reported as worker 0,
-4. collects ``(loss, weight, grads, seconds)`` from every other shard and
-5. lets the caller tree-reduce the shard gradients into the model's
+3. collects ``(loss, weight, grads, seconds)`` from every other shard and
+4. lets the caller tree-reduce the shard gradients into the model's
    parameters (:func:`repro.optim.all_reduce_gradients`) so a single
    optimizer step applies exactly the gradient serial training would have
    produced.
@@ -27,7 +25,7 @@ manages it.
 
 Model transport: the model object crosses the process boundary once, at
 pool start-up, via pickle (module classes are importable from both fork and
-spawn children); its weights are refreshed every step through the codec.
+spawn children); its weights are refreshed every step through the arena.
 A sharded model holds no module random generators
 (:class:`repro.exec.ShardedExecutor` refuses one), so no shard draws noise.
 
@@ -353,9 +351,11 @@ class _Shard:
     """The step and the forecast of one shard: the one definition a pool's
     children run in their loop and its caller runs on shard 0.
 
-    A ``"step"``/``"predict"`` message carries only the batch shapes; the
-    shard reads the raw batch from the pool's shared arena, augments its
-    own rows (``model.augment(x, sensors=shard)``) and slices its targets.
+    A ``"step"``/``"predict"`` message carries only array shapes: the
+    parameters', then the raw batch's, laid out back to back in the pool's
+    shared arena.  The shard copies the parameters into its model when the
+    message says so, augments its own rows
+    (``model.augment(x, sensors=shard)``) and slices its targets.
 
     A shard is stepped in :func:`sensor_blocks`: per-sensor models
     treat sensors independently, so each block's loss is backpropagated
@@ -379,10 +379,22 @@ class _Shard:
     def _restore_shard(self) -> None:
         self.model.set_sensor_shard(*self.sensor_shard)
 
-    def _inputs(self, shapes, arena) -> Tuple[Tuple[np.ndarray, ...], float]:
-        """The shard's ``(x[, y])`` read from the arena and its augment seconds."""
+    def _load(self, weights: Sequence[np.ndarray]) -> None:
+        """Copy ``weights`` (arena views, in parameter order) into the model;
+        a shape mismatch is refused before any parameter changes."""
+        for index, (parameter, value) in enumerate(zip(self.parameters, weights)):
+            if value.shape != parameter.data.shape:
+                raise ValueError(
+                    f"shape mismatch for parameter {index}: "
+                    f"{value.shape} vs {parameter.data.shape}"
+                )
+        for parameter, value in zip(self.parameters, weights):
+            parameter.data[...] = value
+
+    def _inputs(self, batch: Sequence[np.ndarray]) -> Tuple[Tuple[np.ndarray, ...], float]:
+        """The shard's ``(x[, y])`` from the arena's batch and its augment seconds."""
         start, stop = self.sensor_shard
-        x, *rest = _arena_views(arena, shapes)
+        x, *rest = batch
         augment_start = time.perf_counter()
         x = self.model.augment(x, sensors=self.sensor_shard)
         seconds = time.perf_counter() - augment_start
@@ -442,22 +454,23 @@ class _Shard:
         return value, weight
 
     def reply(self, message, arena) -> tuple:
-        """Run one ``(kind, weights_blob, *shapes)`` message; the reply a
+        """Run one ``(kind, load_weights, *shapes)`` message; the reply a
         worker sends back.
 
-        ``("ok", forecast)`` for a predict, ``("ok", loss, weight, grads,
-        seconds, augment_seconds)`` for a step, ``("raise", "float" |
-        "error", report)`` when it failed.  A ``weights_blob`` of ``None``
-        keeps the model's current weights.
+        ``shapes`` lays out the arena: one entry per parameter, then the
+        batch.  ``("ok", forecast)`` for a predict, ``("ok", loss, weight,
+        grads, seconds, augment_seconds)`` for a step, ``("raise", "float" |
+        "error", report)`` when it failed.  ``load_weights`` false keeps the
+        model's current weights (the caller's shard shares them).
         """
-        from ..training import checkpoint as checkpoint_module
-
-        kind, weights_blob, *shapes = message
+        kind, load_weights, *shapes = message
         try:
             start = time.perf_counter()
-            if weights_blob is not None:
-                self.model.load_state_dict(checkpoint_module.loads_state_dict(weights_blob))
-            arrays, augment_seconds = self._inputs(shapes, arena)
+            views = _arena_views(arena, shapes)
+            count = len(self.parameters)
+            if load_weights:
+                self._load(views[:count])
+            arrays, augment_seconds = self._inputs(views[count:])
             if kind == "predict":
                 return ("ok", self.predict(*arrays))
             value, weight = self.step(*arrays)
@@ -477,7 +490,7 @@ def _worker_main(conn, init_blob: bytes) -> None:
     imported lazily here so a spawn child only pays for what it uses.
     Each step or forecast message is answered with :meth:`_Shard.reply`;
     an ``"arena"`` message delivers the descriptor of the pool's shared
-    batch arena, which the worker maps read-only.
+    arena (parameters and batch), which the worker maps read-only.
     """
     import mmap
     from multiprocessing import reduction
@@ -498,7 +511,7 @@ def _worker_main(conn, init_blob: bytes) -> None:
         kl_weight=init["kl_weight"],
         screen=bool(init["detect_anomaly"]),
     )
-    arena: Optional[np.ndarray] = None  # float64 view of the shared batch
+    arena: Optional[np.ndarray] = None  # float64 view of the shared arena
 
     while True:
         try:
@@ -534,11 +547,12 @@ class WorkerPool:
     per remaining range computes shards ``1 … K-1``.  The pool owns a
     shared arena: one float64 buffer in nameless shared memory
     (:func:`_anonymous_file`) that :meth:`sensor_step` and
-    :meth:`sensor_predict` write the raw batch into once, so each child
-    receives only the weights and the batch shape.  The arena's descriptor
-    goes to every child over its pipe
+    :meth:`sensor_predict` write the model's current parameters and then
+    the raw batch into once, so each child receives only their shapes.
+    The caller's shard shares the parameters and skips the copy back.  The
+    arena's descriptor goes to every child over its pipe
     (``multiprocessing.reduction.send_handle``) when the arena is first
-    needed, and again only when a batch outgrows it.
+    needed, and again only when a step outgrows it.
 
     Usable as a context manager; :meth:`close` is idempotent and always
     safe to call (it terminates stragglers rather than hang).
@@ -565,8 +579,11 @@ class WorkerPool:
         self.start_method = method
         self._workers = []
         self._conns = []
-        self._arena = None  # mmap of the shared batch arena
+        self._arena = None  # mmap of the shared arena
         self._arena_view: Optional[np.ndarray] = None  # its float64 view
+        #: seconds the last step or forecast spent copying the parameters
+        #: into the arena
+        self.serialize_seconds = 0.0
         self._closed = False
         if method == "fork":
             _trim_heap()
@@ -604,51 +621,54 @@ class WorkerPool:
 
     @property
     def arena_bytes(self) -> int:
-        """Size of the shared batch arena (0 until a batch needs it)."""
+        """Size of the shared arena (0 until a step or forecast needs it)."""
         return 0 if self._arena is None else len(self._arena)
 
     # ------------------------------------------------------------------ #
-    def sensor_step(
-        self, weights_blob: Optional[bytes], x: np.ndarray, y: np.ndarray
-    ) -> List[ShardResult]:
+    def sensor_step(self, x: np.ndarray, y: np.ndarray) -> List[ShardResult]:
         """Run one step with every shard on its sensor range of ``(x, y)``.
 
-        ``x`` and ``y`` are the raw full-network batch; they are written
-        once into the shared arena and each shard augments and slices its
-        own rows.  The children start first; then the caller computes
-        shard 0 with the weights its model holds now (``weights_blob``
-        must be those weights, or ``None`` when the children's copies are
-        current), and then every child's reply is collected.  One result
-        per shard, in sensor order.  Raises ``FloatingPointError`` if any
-        shard hit one (after reading every reply, so the pipes stay in sync
-        for the retry the recovery policy will schedule).
+        The model's current parameters and the raw full-network batch are
+        written once into the shared arena; each child loads the
+        parameters, and each shard augments and slices its own rows.  The
+        children start first; then the caller computes shard 0 on the
+        parameters it shares with the model, and then every child's reply
+        is collected.  One result per shard, in sensor order.  Raises
+        ``FloatingPointError`` if any shard hit one (after reading every
+        reply, so the pipes stay in sync for the retry the recovery policy
+        will schedule).
         """
-        message = ("step", weights_blob, *self._write_arena(x, y))
-        self._dispatch(message)
-        return self._collect_steps(self._run_local(message))
+        return self._collect_steps(self._run("step", x, y))
 
-    def sensor_predict(self, weights_blob: Optional[bytes], x: np.ndarray) -> List[np.ndarray]:
-        """Forecast a full-network window through the arena; one
-        ``(B, stop - start, ...)`` forecast per shard, in sensor order.
-        Shard 0 is computed in the calling process, as in
-        :meth:`sensor_step`."""
-        message = ("predict", weights_blob, *self._write_arena(x))
-        self._dispatch(message)
-        return self._collect_forecasts(self._run_local(message))
+    def sensor_predict(self, x: np.ndarray) -> List[np.ndarray]:
+        """Forecast a full-network window with the model's current
+        parameters, through the arena; one ``(B, stop - start, ...)``
+        forecast per shard, in sensor order.  Shard 0 is computed in the
+        calling process, as in :meth:`sensor_step`."""
+        return self._collect_forecasts(self._run("predict", x))
 
     # ------------------------------------------------------------------ #
     def _write_arena(self, *arrays: np.ndarray) -> List[Tuple[int, ...]]:
-        """Copy ``arrays`` back to back into the arena (growing it if they do
-        not fit) and return their shapes for the workers to view."""
+        """Copy the parameters, then ``arrays``, back to back into the arena
+        (growing it if they do not fit) and return every shape for the
+        workers to view; the parameter copy's time lands in
+        :attr:`serialize_seconds`."""
         if self._closed:
             raise WorkerError("worker pool is closed")
-        arrays = [np.asarray(array) for array in arrays]
-        nbytes = 8 * sum(array.size for array in arrays)
+        weights = [parameter.data for parameter in self._local.parameters]
+        batch = [np.asarray(array) for array in arrays]
+        shapes = [array.shape for array in weights + batch]
+        nbytes = 8 * sum(array.size for array in weights + batch)
         if nbytes > self.arena_bytes:
             self._grow_arena(nbytes)
-        for array, view in zip(arrays, _arena_views(self._arena_view, [a.shape for a in arrays])):
+        views = _arena_views(self._arena_view, shapes)
+        start = time.perf_counter()
+        for array, view in zip(weights, views):
             view[...] = array
-        return [array.shape for array in arrays]
+        self.serialize_seconds = time.perf_counter() - start
+        for array, view in zip(batch, views[len(weights) :]):
+            view[...] = array
+        return shapes
 
     def _grow_arena(self, nbytes: int) -> None:
         """Replace the arena with a ``nbytes`` one and hand it to every worker."""
@@ -693,6 +713,13 @@ class WorkerPool:
         for child in range(len(self._conns)):
             self._send(child, message)
 
+    def _run(self, kind: str, *batch: np.ndarray) -> tuple:
+        """Write the arena, start every child on ``kind``, compute shard 0
+        here; the local shard's reply."""
+        shapes = self._write_arena(*batch)
+        self._dispatch((kind, True, *shapes))
+        return self._run_local((kind, False, *shapes))
+
     def _run_local(self, message) -> tuple:
         """Compute shard 0 in this process, exactly as a worker would.
 
@@ -709,7 +736,7 @@ class WorkerPool:
         previous = set_hooks(trace=None, anomaly=None, capture=None, grad_alloc=None)
         try:
             with _caller_blas(self._blas_share):
-                return self._local.reply((message[0], None, *message[2:]), self._arena_view)
+                return self._local.reply(message, self._arena_view)
         except BaseException:
             self.close()
             raise

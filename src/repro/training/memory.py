@@ -104,6 +104,20 @@ def _per_sensor_elements(dims: ModelDims) -> float:
     return neighbor_gather + window + states + output
 
 
+#: SimST's per-sensor embedding width (``SimSTForecaster``'s default)
+_PER_SENSOR_EMBEDDING = 16
+
+
+def _per_sensor_parameters(dims: ModelDims) -> float:
+    # SimST at its default proportions: one embedding row per sensor, the
+    # shared MLP encoder [2H -> hidden -> hidden] and the predictor head
+    # [hidden + E -> 2·hidden -> U], biases included
+    hidden, embedding = dims.hidden, _PER_SENSOR_EMBEDDING
+    encoder = (2 * dims.history + 1) * hidden + (hidden + 1) * hidden
+    head = (hidden + embedding + 1) * 2 * hidden + (2 * hidden + 1) * dims.horizon
+    return dims.num_sensors * embedding + encoder + head
+
+
 _FAMILIES: Dict[str, Callable[[ModelDims], float]] = {
     "attention": _attention_elements,  # SA / ATT / LongFormer(full-band) / ASTGNN
     "window_attention": _window_attention_elements,  # WA / S-WA / ST-WA
@@ -243,6 +257,10 @@ class CapacityPlanner:
         one block: a shard steps its range ``BLOCK_ROWS // B`` sensors at a
         time (:func:`repro.parallel.engine.sensor_blocks`), so those are the
         family's model at that many sensors, whatever the shard's size.
+        The shard computed in the calling process also holds ``K + 1``
+        parameter-sized arrays: the parameters, their full-size gradients
+        and the ``K - 1`` gradient lists the all-reduce receives from the
+        other shards; those are stored once, not doubled for backward.
         Every other family mixes sensors in its forward and cannot be
         stepped in blocks; its shard is the family's model at ``⌈N/K⌉``
         sensors.
@@ -257,9 +275,10 @@ class CapacityPlanner:
         dims = self.dims
         block = min(per_shard, max(1, BLOCK_ROWS // max(1, dims.batch)))
         shard_arrays = dims.batch * per_shard * (2 * dims.history + 2 * dims.horizon)
+        parameters = _per_sensor_parameters(replace(dims, num_sensors=int(num_sensors)))
         return self._gb(
             _per_sensor_elements(replace(dims, num_sensors=block)) + shard_arrays
-        )
+        ) + (n_shards + 1) * parameters * self.bytes_per_element / 1024**3
 
     def plan(self, model_name: str, num_sensors: int) -> CapacityPlan:
         """Memory verdict + shard plan for one registered model at N sensors."""

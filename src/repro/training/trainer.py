@@ -39,8 +39,7 @@ one in this process and the rest in worker processes
 (:mod:`repro.parallel`), and tree-reduces the shard gradients, so
 optimizer state, checkpoints, recovery, and RNG streams all stay
 in-process and the features above compose with sharding unchanged.
-Batches are assembled in a background prefetch process (double-buffered
-shared memory) unless ``ExecutorSpec(prefetch=False)``.  The sharded loss
+Batches are assembled in this process for every executor.  The sharded loss
 trajectory matches serial training to float64 reduction accuracy at any
 shard count.  Evaluation and prediction route through a
 :class:`repro.exec.InferenceExecutor` (the same graph-free fast path the
@@ -424,7 +423,7 @@ class Trainer:
         return grad_norm
 
     def _train_iterator(self):
-        """The training-batch source; the executor picks plain vs prefetched."""
+        """The training-batch source the executor provides."""
         cfg = self.config
         return self.executor.make_batch_iterator(
             self._windows["train"],

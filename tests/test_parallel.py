@@ -4,9 +4,9 @@ The headline tier-1 gate lives in :class:`TestTrainerEquivalence`:
 ``Trainer`` on ``ExecutorSpec.sharded(n_workers=2)`` must reproduce the
 serial loss trajectory of a SimST model within 1e-12 relative tolerance
 over several epochs.  The remaining classes unit-test the pieces that make
-that hold — deterministic tree reduction, the weight codec, the
-shared-memory prefetcher, blocked shard steps, the shared batch arena, the
-caller's own shard, and worker failure translation.
+that hold — deterministic tree reduction, the weight codec, blocked shard
+steps, the shared arena that carries weights and batches, the caller's own
+shard, the planner's shard prediction, and worker failure translation.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import pytest
 from repro.core import SimSTForecaster
 from repro.core.loss import STWALoss
 from repro.data import WindowSpec
-from repro.data.windows import BatchIterator, SlidingWindowDataset
+from repro.data.windows import SlidingWindowDataset
 from repro.nn.module import Parameter
 from repro.optim import all_reduce_gradients, tree_reduce
 from repro.parallel import (
     ParallelConfig,
-    PrefetchingBatchIterator,
     WorkerError,
     WorkerPool,
     default_start_method,
@@ -64,11 +63,10 @@ def sharded_trainer(tiny_dataset, n_workers: int = 0, **overrides):
         seed=0,
         patience=10_000,
     )
-    prefetch = overrides.pop("prefetch", True)
     start_method = overrides.pop("start_method", None)
     if n_workers >= 2:
         config["executor"] = ExecutorSpec.sharded(
-            n_workers=n_workers, prefetch=prefetch, start_method=start_method
+            n_workers=n_workers, start_method=start_method
         )
     config.update(overrides)
     return Trainer(small_simst(tiny_dataset), tiny_dataset, SPEC, TrainerConfig(**config))
@@ -150,44 +148,6 @@ class TestWeightCodec:
 
 
 # --------------------------------------------------------------------- #
-# prefetcher
-# --------------------------------------------------------------------- #
-class TestPrefetchingBatchIterator:
-    def make_windows(self, tiny_dataset):
-        return SlidingWindowDataset(tiny_dataset.train, SPEC, raw=tiny_dataset.train_raw)
-
-    def test_matches_serial_iterator_across_epochs(self, tiny_dataset):
-        windows = self.make_windows(tiny_dataset)
-        serial = BatchIterator(
-            windows, batch_size=16, shuffle=True, rng=np.random.default_rng(0), max_batches=4
-        )
-        prefetched = PrefetchingBatchIterator(
-            windows, batch_size=16, shuffle=True, rng=np.random.default_rng(0), max_batches=4
-        )
-        assert len(serial) == len(prefetched)
-        for _ in range(2):  # second epoch reshuffles: RNG consumption must match
-            batches_serial = list(serial)
-            batches_prefetched = [(x.copy(), y.copy()) for x, y in prefetched]
-            assert len(batches_serial) == len(batches_prefetched) == 4
-            for (xs, ys), (xp, yp) in zip(batches_serial, batches_prefetched):
-                np.testing.assert_array_equal(xs, xp)
-                np.testing.assert_array_equal(ys, yp)
-
-    def test_partial_final_batch(self, tiny_dataset):
-        windows = self.make_windows(tiny_dataset)
-        batch_size = len(windows) - 1  # forces a final batch of exactly 1
-        sizes = [len(x) for x, _ in PrefetchingBatchIterator(windows, batch_size, shuffle=False)]
-        assert sizes == [batch_size, 1]
-
-    def test_invalid_config_raises(self, tiny_dataset):
-        windows = self.make_windows(tiny_dataset)
-        with pytest.raises(ValueError):
-            PrefetchingBatchIterator(windows, batch_size=0)
-        with pytest.raises(ValueError):
-            PrefetchingBatchIterator(windows, batch_size=4, slots=1)
-
-
-# --------------------------------------------------------------------- #
 # worker pool
 # --------------------------------------------------------------------- #
 class TestWorkerPool:
@@ -208,24 +168,33 @@ class TestWorkerPool:
     def test_step_matches_serial_loss(self, tiny_dataset):
         model = small_simst(tiny_dataset)
         x, y = self.make_batch(tiny_dataset)
-        with self.make_pool(model) as pool:
-            blob = dumps_state_dict(model.state_dict())
-            results = pool.sensor_step(blob, x, y)
-        assert [r.worker_id for r in results] == [0, 1]
-        assert all(np.isfinite(r.loss) for r in results)
-        # shard weights are the finite target element counts
-        assert sum(r.weight for r in results) == float(np.isfinite(y).sum())
-        total = sum(r.weight for r in results)
-        combined = sum(r.weight * r.loss for r in results) / total
-        model.train()
-        # weighted shard mean == full-batch loss
-        loss = STWALoss(delta=1.0, kl_weight=0.0)(model(Tensor(x)), Tensor(y))
-        np.testing.assert_allclose(combined, float(loss.item()), rtol=1e-12)
-        # gradients align with the parameter list and carry data
         parameters = model.parameters()
-        for result in results:
-            assert len(result.grads) == len(parameters)
-            assert any(g is not None and np.any(g != 0) for g in result.grads)
+
+        def check(results):
+            assert [r.worker_id for r in results] == [0, 1]
+            assert all(np.isfinite(r.loss) for r in results)
+            # shard weights are the finite target element counts
+            assert sum(r.weight for r in results) == float(np.isfinite(y).sum())
+            total = sum(r.weight for r in results)
+            combined = sum(r.weight * r.loss for r in results) / total
+            model.train()
+            # weighted shard mean == full-batch loss on the current weights
+            loss = STWALoss(delta=1.0, kl_weight=0.0)(model(Tensor(x)), Tensor(y))
+            np.testing.assert_allclose(combined, float(loss.item()), rtol=1e-12)
+            # gradients align with the parameter list and carry data
+            for result in results:
+                assert len(result.grads) == len(parameters)
+                assert any(g is not None and np.any(g != 0) for g in result.grads)
+            return combined
+
+        with self.make_pool(model) as pool:
+            first = check(pool.sensor_step(x, y))
+            # change the caller's weights in place, with no reload: the
+            # arena must carry them to the worker's shard too
+            for parameter in parameters:
+                parameter.data *= 1.5
+            second = check(pool.sensor_step(x, y))
+        assert second != first
 
     def test_floating_point_error_translated(self, tiny_dataset):
         model = small_simst(tiny_dataset)
@@ -233,14 +202,31 @@ class TestWorkerPool:
         x = x.copy()
         x[:, -1] = np.nan  # the anomaly screen trips inside the child's shard
         with self.make_pool(model, detect_anomaly=True) as pool:
-            blob = dumps_state_dict(model.state_dict())
             with pytest.raises(FloatingPointError, match="worker 1:"):
-                pool.sensor_step(blob, x, y)
+                pool.sensor_step(x, y)
             # pipes stayed in sync: the pool still serves clean steps (this
             # is what lets RecoveryPolicy roll back and retry)
             x_ok, y_ok = self.make_batch(tiny_dataset, size=4)
-            results = pool.sensor_step(blob, x_ok, y_ok)
+            results = pool.sensor_step(x_ok, y_ok)
             assert all(np.isfinite(r.loss) for r in results)
+
+    def test_worker_refuses_a_weight_of_the_wrong_shape(self, tiny_dataset):
+        from repro.parallel.engine import _Shard
+
+        model = small_simst(tiny_dataset)
+        shard = _Shard(model, (0, 2), huber_delta=1.0, kl_weight=0.0, screen=False)
+        x, y = self.make_batch(tiny_dataset, size=2)
+        parameters = model.parameters()
+        before = [parameter.data.copy() for parameter in parameters]
+        shapes = [parameter.data.shape for parameter in parameters]
+        shapes[-1] = (shapes[-1][0] + 1,) + shapes[-1][1:]
+        arena = np.ones(sum(int(np.prod(shape)) for shape in shapes) + x.size + y.size)
+        reply = shard.reply(("step", True, *shapes, x.shape, y.shape), arena)
+        assert reply[:2] == ("raise", "error")
+        assert f"shape mismatch for parameter {len(shapes) - 1}" in reply[2]
+        # refused before any parameter changed
+        for value, parameter in zip(before, parameters):
+            assert np.array_equal(value, parameter.data)
 
     def test_closed_pool_raises(self, tiny_dataset):
         model = small_simst(tiny_dataset)
@@ -249,9 +235,9 @@ class TestWorkerPool:
         pool.close()  # idempotent
         x, y = self.make_batch(tiny_dataset, size=2)
         with pytest.raises(WorkerError, match="closed"):
-            pool.sensor_step(None, x, y)
+            pool.sensor_step(x, y)
         with pytest.raises(WorkerError, match="closed"):
-            pool.sensor_predict(None, x)
+            pool.sensor_predict(x)
 
     def test_config_rejects_single_worker(self, tiny_dataset):
         """A pool of one shard would only be a slower serial step."""
@@ -293,11 +279,6 @@ class TestTrainerEquivalence:
         trainer.fit()
         assert not trainer.executor.is_open
         assert trainer.executor._pool is None
-
-    def test_equivalence_without_prefetch(self, tiny_dataset):
-        serial = sharded_trainer(tiny_dataset, n_workers=0, epochs=2).fit()
-        sharded = sharded_trainer(tiny_dataset, n_workers=2, epochs=2, prefetch=False).fit()
-        np.testing.assert_allclose(sharded.train_loss, serial.train_loss, rtol=TRAJECTORY_RTOL)
 
     def test_checkpoint_resume_under_parallel(self, tiny_dataset, tmp_path):
         full = sharded_trainer(tiny_dataset, n_workers=2, epochs=3).fit()
@@ -911,6 +892,36 @@ class TestLocalShard:
         model.head.noise = np.random.default_rng(0)
         with pytest.raises(ValueError, match=r"SimSTForecaster holds .*\(head\.noise\)"):
             make_executor(model, ExecutorSpec.sharded(n_workers=2))
+
+
+class TestShardPlanner:
+    """The planner's per-shard prediction bounds the caller's shard."""
+
+    def test_prediction_within_twice_the_traced_peak_at_2000_sensors(self):
+        import tracemalloc
+
+        from repro.harness.shard_bench import (
+            HISTORY,
+            HORIZON,
+            SHARD_PREDICTION_SLACK,
+            _build_city_model,
+            _city_planner,
+        )
+
+        num_sensors, batch = 2000, 4
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((batch, num_sensors, HISTORY, 1))
+        y = rng.standard_normal((batch, num_sensors, HORIZON, 1))
+        with ShardedExecutor(_build_city_model(num_sensors, 0), n_workers=2) as sharded:
+            sharded.train_step(None, (x, y))  # the first step grows the arena
+            tracemalloc.start()
+            try:
+                sharded.train_step(None, (x, y))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        predicted = _city_planner(batch).shard_gb("per_sensor", num_sensors, 2)
+        assert 1.0 <= predicted / (peak / 1024**3) <= SHARD_PREDICTION_SLACK
 
 
 BLAS_CHECK = """

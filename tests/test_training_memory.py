@@ -121,15 +121,27 @@ class TestCapacityPlanner:
         assert tight.shard_gb("per_sensor", num_sensors, k) <= budget
         if k > 2:
             assert tight.shard_gb("per_sensor", num_sensors, k - 1) > budget
-        # the largest shard decides: 10_001 sensors in 3 shards is 3_334 each
-        assert tight.shard_gb("per_sensor", 10_001, 3) == tight.shard_gb(
-            "per_sensor", 3 * 3_334, 3
+        # the largest shard decides its shard-sized arrays: 10_001 sensors
+        # in 3 shards is 3_334 each, as for 10_002; only the K + 1 = 4
+        # parameter-sized copies grow, by one 16-wide float32 embedding row
+        row_gb = 16 * 4 / 1024**3
+        grown = tight.shard_gb("per_sensor", 3 * 3_334, 3) - tight.shard_gb(
+            "per_sensor", 10_001, 3
         )
+        assert grown == pytest.approx(4 * row_gb, rel=1e-6)
 
     def test_per_sensor_shard_models_the_block(self):
-        """A per-sensor shard holds its shard-sized arrays plus one block's
-        activations; a sensor-mixing family's shard is the family at N/K."""
+        """A per-sensor shard holds its shard-sized arrays, one block's
+        activations and K + 1 parameter-sized arrays (parameters, gradients,
+        the other shards' gradients); a sensor-mixing family's shard is the
+        family at N/K."""
+        from repro.core import SimSTForecaster
         from repro.parallel.engine import BLOCK_ROWS
+
+        def parameter_gb(num_sensors):
+            # SimST at the planner's dims (hidden 32) and default proportions
+            model = SimSTForecaster(num_sensors, hidden=32, predictor_hidden=64)
+            return 8 * model.num_parameters() / 1024**3
 
         planner = CapacityPlanner(dims=ModelDims(batch=4), bytes_per_element=8)
         block_gb = planner.family_gb("per_sensor", BLOCK_ROWS // 4)
@@ -137,14 +149,22 @@ class TestCapacityPlanner:
         for n_shards in (2, 3, 8):
             per_shard = -(-10_000 // n_shards)
             assert planner.shard_gb("per_sensor", 10_000, n_shards) == pytest.approx(
-                block_gb + per_shard * per_sensor_array_gb, rel=1e-12
+                block_gb
+                + per_shard * per_sensor_array_gb
+                + (n_shards + 1) * parameter_gb(10_000),
+                rel=1e-12,
             )
-            assert planner.shard_gb("per_sensor", 10_000, n_shards) < planner.family_gb(
-                "per_sensor", per_shard
-            )
+            # blocking keeps the activations below the family at N/K
+            activations_gb = planner.shard_gb("per_sensor", 10_000, n_shards) - (
+                n_shards + 1
+            ) * parameter_gb(10_000)
+            assert activations_gb < planner.family_gb("per_sensor", per_shard)
         # a shard narrower than one block is one block of its own width
         assert planner.shard_gb("per_sensor", 20, 2) == pytest.approx(
-            planner.family_gb("per_sensor", 10) + 10 * per_sensor_array_gb, rel=1e-12
+            planner.family_gb("per_sensor", 10)
+            + 10 * per_sensor_array_gb
+            + 3 * parameter_gb(20),
+            rel=1e-12,
         )
         assert planner.shard_gb("graph_conv", 10_000, 4) == planner.family_gb(
             "graph_conv", 2_500
