@@ -81,8 +81,8 @@ from . import (
 )
 
 #: subpackages resolved on first attribute access (PEP 562): harness pulls
-#: in serve (serve_bench), fleet sits on serve, and serve/parallel touch
-#: multiprocessing
+#: in parallel (bench's sharded rows), fleet sits on serve, and
+#: serve/parallel touch multiprocessing
 _LAZY_SUBPACKAGES = ("fleet", "harness", "parallel", "serve")
 
 __all__ = [

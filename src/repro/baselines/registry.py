@@ -24,8 +24,9 @@ the spec API.
 
 Every builder returns a model obeying the common forecaster contract
 (scaled ``(B, N, H, F)`` -> scaled ``(B, N, U, F)``).  ``MODEL_FAMILIES``
-maps each name onto the analytic memory-model family used for the Table VI
-OOM reproduction.
+maps each trained model's name onto the analytic memory-model family used
+for the Table VI OOM reproduction; the analytic baselines (persistence,
+windowmean, var) train nothing and have no family.
 """
 
 from __future__ import annotations
@@ -302,11 +303,8 @@ MODEL_BUILDERS: Dict[str, Builder] = {
     "simst": _simst,
 }
 
-#: architecture family per model, for the analytic memory model (Table VI)
+#: architecture family per trained model, for the analytic memory model (Table VI)
 MODEL_FAMILIES: Dict[str, str] = {
-    "persistence": "rnn",
-    "windowmean": "rnn",
-    "var": "rnn",
     "gru": "rnn",
     "tcn": "graph_conv",
     "tcn+s": "graph_conv",

@@ -19,11 +19,11 @@ into an operated fleet of per-city models:
   the ordinary :class:`repro.training.Trainer`, validate on held-back
   windows, publish, promote, and hot-swap.
 
-``python -m repro.harness fleet-bench`` drills the whole lifecycle —
-multi-tenant load with shedding, a hot swap under concurrent traffic with
-zero dropped requests, a shadow deployment producing divergence metrics,
-and the synthetic-drift retrain→validate→swap loop — and gates it in
-``results/fleet_bench.json``; see DESIGN.md "Fleet lifecycle".
+``tests/test_fleet.py`` drills the whole lifecycle — admission shedding,
+a hot swap under concurrent traffic with zero dropped requests, a shadow
+deployment producing divergence metrics, and the drift-tripped
+retrain→validate→swap loop on a level-shifted stream; see DESIGN.md
+"Fleet lifecycle".
 """
 
 from .drift import DriftDetector, DriftPolicy

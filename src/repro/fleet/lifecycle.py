@@ -17,8 +17,8 @@ built from — the :class:`repro.fleet.ModelRegistry` (what exists), the
   but never serves.
 
 Retraining is synchronous from the caller's point of view; run it on a
-background thread (as ``fleet-bench`` does) to keep serving undisturbed —
-the router is thread-safe and the swap at the end is atomic either way.
+background thread to keep serving undisturbed — the router is thread-safe
+and the swap at the end is atomic either way.
 """
 
 from __future__ import annotations

@@ -7,21 +7,11 @@ constructed explicitly via :meth:`RunSettings.from_scope`).  The ``profile``
 module backs ``python -m repro.harness profile <model>`` — an op/module
 runtime profile built on :mod:`repro.obs` — and ``bench`` backs
 ``python -m repro.harness bench``, the benchmark trajectory harness that
-writes ``BENCH_<date>.json`` perf snapshots.  ``chaos`` backs
+writes ``BENCH_<date>.json`` perf snapshots (one row per layer, shape and
+executor, and the perf gates).  ``chaos`` backs
 ``python -m repro.harness chaos`` — fault-injection drills
 (:mod:`repro.resilience`) that write ``chaos_report.json`` — and
-``serve_bench`` backs ``python -m repro.harness serve-bench``, the online
-serving load benchmark (:mod:`repro.serve`) that writes
-``serve_bench.json``.  ``fleet_bench`` backs
-``python -m repro.harness fleet-bench``, the model lifecycle benchmark
-(:mod:`repro.fleet`: registry, hot swap under load, shadow divergence,
-drift-triggered retrain) that writes ``fleet_bench.json``.
-``shard_bench`` backs ``python -m repro.harness shard-bench`` — the
-sensor-sharding gates (:class:`repro.exec.ShardedExecutor`: serial
-equivalence, serve identity, the N=10k city-scale memory envelope, the
-planner's per-shard prediction) that write ``shard_bench.json`` — and
-``capacity`` backs
-``python -m repro.harness capacity``, the
+``capacity`` backs ``python -m repro.harness capacity``, the
 :class:`repro.training.CapacityPlanner` report over the registered zoo
 (``capacity_report.json``).
 """
@@ -33,13 +23,10 @@ from . import (
     bench,
     capacity,
     chaos,
-    fleet_bench,
     horizon_report,
     figure9,
     figure10,
     profile,
-    serve_bench,
-    shard_bench,
     table4,
     table5,
     table6,
@@ -83,10 +70,7 @@ __all__ = [
     "bench",
     "capacity",
     "chaos",
-    "fleet_bench",
     "profile",
-    "serve_bench",
-    "shard_bench",
     "train_and_score",
     "train_and_score_model",
 ]

@@ -13,8 +13,9 @@ The front door is :class:`repro.exec.ShardedExecutor` — selected by
 ``TrainerConfig(executor=ExecutorSpec.sharded(n_workers=...))`` — and
 this package is the engine room.  The equivalence contract — sharded
 training reproduces the serial loss trajectory at any shard count — is
-enforced by ``tests/test_parallel.py``, ``tests/test_shard_fuzz.py`` and
-``python -m repro.harness shard-bench``.
+enforced by ``tests/test_parallel.py`` and ``tests/test_shard_fuzz.py``;
+``python -m repro.harness bench`` times the N=10k SimST step serial vs
+sharded.
 """
 
 from .engine import (

@@ -19,8 +19,9 @@
   fallback, with latency/batch/cache metrics streamed to a
   :class:`repro.obs.MetricsSink`.
 
-``python -m repro.harness serve-bench`` load-tests the whole stack end to
-end and writes ``results/serve_bench.json``; see DESIGN.md "Serving".
+``tests/test_serve.py`` drills the whole stack (cache, micro-batching,
+the fault drill and circuit breaker, the artifact round trip); see
+DESIGN.md "Serving".
 """
 
 from .artifact import (

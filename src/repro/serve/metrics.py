@@ -11,8 +11,8 @@ aggregates rather than full traces:
 * per-batch linger outcomes of the micro-batcher
   (:data:`repro.serve.batcher.LINGER_OUTCOMES`).
 * :class:`ServingStats` — the engine's aggregate bundle, rendered by
-  :meth:`ServingStats.snapshot` into the flat dict that lands in
-  ``results/serve_bench.json`` and in ``stats`` events on the
+  :meth:`ServingStats.snapshot` into the flat dict that
+  :meth:`ServingEngine.snapshot` returns and ``stats`` events carry on the
   :class:`repro.obs.MetricsSink`.
 """
 

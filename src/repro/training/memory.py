@@ -214,7 +214,7 @@ class CapacityPlanner:
     bytes_per_element:
         4 for the paper's float32 PyTorch setup (default); pass 8 when
         checking the planner against this repo's float64 NumPy substrate
-        (``shard-bench`` does).
+        (``tests/test_parallel.py::TestShardPlanner`` does).
     max_shards:
         Upper bound on the shard search; past this the plan reports
         ``shards_needed=None``.

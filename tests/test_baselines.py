@@ -30,7 +30,11 @@ def x_batch(tiny_dataset):
 
 class TestRegistry:
     def test_every_model_has_a_family(self):
-        assert set(available_models()) == set(MODEL_FAMILIES)
+        from repro.harness.runner import NON_TRAINED
+
+        # the analytic baselines train nothing, so they have no memory model
+        assert set(available_models()) - NON_TRAINED == set(MODEL_FAMILIES)
+        assert not NON_TRAINED & set(MODEL_FAMILIES)
 
     def test_unknown_model_raises(self, tiny_dataset):
         with pytest.raises(KeyError):

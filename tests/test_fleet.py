@@ -11,6 +11,7 @@ import pytest
 
 from repro.baselines import GRUForecaster
 from repro.baselines.classical import PersistenceForecaster
+from repro.data.datasets import TrafficDataset
 from repro.data.scalers import StandardScaler
 from repro.fleet import (
     DriftDetector,
@@ -290,7 +291,9 @@ class TestFleetRouter:
         with make_router(max_inflight=1, sink=sink) as router:
             artifact = make_artifact()
             router.add_model("m", artifact, SENSORS)
+            router.add_model("crisp", make_artifact(), SENSORS)
             warm_router(router, "m", rng)
+            warm_router(router, "crisp", rng)
             hook = artifact.model.register_forward_pre_hook(
                 lambda module, args: time.sleep(0.05)
             )
@@ -302,10 +305,14 @@ class TestFleetRouter:
                 ]
                 for t in threads:
                     t.start()
+                crisp = router.forecast("crisp")  # while "m" is over capacity
                 for t in threads:
                     t.join()
             finally:
                 hook.remove()
+            # admission is per tenant: the overload never sheds the other one
+            assert crisp.source == "model"
+            assert router.snapshot()["tenants"]["crisp"]["sheds"] == 0
             sheds = [r for r in results if r.source == "shed"]
             assert sheds and len(results) == 6
             for shed in sheds:
@@ -525,6 +532,48 @@ class TestFleetManager:
             entry = registry.versions("city")[-1]
             assert entry["metrics"]["holdout_mae"] == report["candidate_mae"]
             assert entry["labels"]["trigger"] == "forced"
+        finally:
+            router.close()
+
+    def test_drift_tripped_retrain_on_a_level_shift_swaps(self, tmp_path, tiny_dataset):
+        shift = 3.0 * float(tiny_dataset.train_raw.std())  # a demand surge
+        raw = [split + shift for split in (
+            tiny_dataset.train_raw, tiny_dataset.val_raw, tiny_dataset.test_raw
+        )]
+        scaler = StandardScaler().fit(raw[0])
+        shifted = TrafficDataset(
+            name=tiny_dataset.name,
+            profile=tiny_dataset.profile,
+            train=scaler.transform(raw[0]),
+            val=scaler.transform(raw[1]),
+            test=scaler.transform(raw[2]),
+            train_raw=raw[0],
+            val_raw=raw[1],
+            test_raw=raw[2],
+            scaler=scaler,
+            network=tiny_dataset.network,
+        )
+        registry, router, manager = self._deploy(tmp_path, tiny_dataset)
+        try:
+            for t in range(HISTORY, 3 * HISTORY):  # calibrate on the known regime
+                router.ingest("city", tiny_dataset.test_raw[:, t, 0])
+                router.forecast("city")
+            assert not router.drift_status("city")["drifted"]
+            for t in range(40):
+                router.ingest("city", shifted.test_raw[:, t, 0])
+                router.forecast("city")
+                if router.drift_status("city")["drifted"]:
+                    break
+            assert router.drift_status("city")["drifted"]
+            policy = RetrainPolicy(
+                epochs=1, max_batches=3, eval_batches=1, holdout_windows=2, accept_margin=1.0
+            )
+            report = manager.retrain("city", shifted, policy=policy)
+            assert report["action"] == "swapped"
+            assert report["candidate_version"] == 2 and report["swap"]["drained"]
+            assert registry.live_version("city") == router.live_version("city") == 2
+            assert router.forecast("city").version == 2
+            assert registry.versions("city")[-1]["labels"]["trigger"] == "drift"
         finally:
             router.close()
 

@@ -162,39 +162,7 @@ class TestCheapExperimentRuns:
 
 
 class TestBenchReports:
-    """The speedup-gated benches must always stamp their hardware contract.
-
-    ``speedup_gate_enforced`` / ``cores_detected`` are how CI distinguishes
-    "the gate passed" from "the gate could not bite on this host" — the
-    shard-bench report must carry them at top level.
-    """
-
-    def test_shard_bench_report_carries_speedup_gate_flags(self, tmp_path, monkeypatch):
-        import json
-
-        from repro.harness import shard_bench
-
-        monkeypatch.setattr(shard_bench, "EQUIVALENCE_MODELS", ("simst",))
-        monkeypatch.setattr(shard_bench, "EQUIVALENCE_EPOCHS", 1)
-        _, report = shard_bench.run(
-            settings=MICRO,
-            out_dir=tmp_path,
-            fast=True,
-            city_sensors=64,
-            city_steps=1,
-        )
-        assert isinstance(report["speedup_gate_enforced"], bool)
-        assert report["cores_detected"] >= 1
-        assert report["speedup_gate_enforced"] == (report["cores_detected"] >= 2)
-        assert report["speedup_gate"]["enforced"] == report["speedup_gate_enforced"]
-        # the unconditional gates must have passed on any host
-        assert all(check["passed"] for check in report["equivalence"])
-        assert report["serve_identity"]["passed"]
-        assert report["city_scale"]["passed"]
-        assert report["city_scale"]["shard_axis"] == "sensor"
-        saved = json.loads((tmp_path / "shard_bench.json").read_text())
-        assert saved["speedup_gate_enforced"] == report["speedup_gate_enforced"]
-        assert "all_passed" in saved
+    """The capacity planner's report over the registered zoo."""
 
     def test_capacity_report_structure(self, tmp_path):
         import json
@@ -216,3 +184,11 @@ class TestBenchReports:
         )
         assert result.experiment_id == "capacity"
         assert len(result.rows) == len(report["models"])
+
+    def test_capacity_report_omits_untrained_models(self, tmp_path):
+        from repro.harness import capacity
+        from repro.harness.runner import NON_TRAINED
+
+        _, report = capacity.run(settings=MICRO, out_dir=tmp_path)
+        assert "simst" in report["models"]
+        assert not NON_TRAINED & set(report["models"])

@@ -894,34 +894,92 @@ class TestLocalShard:
             make_executor(model, ExecutorSpec.sharded(n_workers=2))
 
 
+def city_batch(num_sensors: int, batch: int = 4):
+    from repro.harness.bench import HISTORY, HORIZON
+
+    rng = np.random.default_rng(0)
+    return (
+        rng.standard_normal((batch, num_sensors, HISTORY, 1)),
+        rng.standard_normal((batch, num_sensors, HORIZON, 1)),
+    )
+
+
+def traced_peak_gb(step) -> float:
+    """tracemalloc peak of one call, in GB."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1024**3
+
+
 class TestShardPlanner:
-    """The planner's per-shard prediction bounds the caller's shard."""
+    """The planner's predictions bound SimST's measured memory at city scale.
 
-    def test_prediction_within_twice_the_traced_peak_at_2000_sensors(self):
-        import tracemalloc
+    The city model (synthetic ring neighbours, no dense adjacency) and the
+    planner at its dimensions are the ones ``python -m repro.harness
+    bench`` times.
+    """
 
-        from repro.harness.shard_bench import (
-            HISTORY,
-            HORIZON,
-            SHARD_PREDICTION_SLACK,
-            _build_city_model,
-            _city_planner,
-        )
+    def caller_shard_ratio(self, num_sensors: int, batch: int = 4) -> float:
+        from repro.harness.bench import _build_city_model, _city_planner
 
-        num_sensors, batch = 2000, 4
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((batch, num_sensors, HISTORY, 1))
-        y = rng.standard_normal((batch, num_sensors, HORIZON, 1))
+        x, y = city_batch(num_sensors, batch)
         with ShardedExecutor(_build_city_model(num_sensors, 0), n_workers=2) as sharded:
             sharded.train_step(None, (x, y))  # the first step grows the arena
-            tracemalloc.start()
-            try:
-                sharded.train_step(None, (x, y))
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        predicted = _city_planner(batch).shard_gb("per_sensor", num_sensors, 2)
-        assert 1.0 <= predicted / (peak / 1024**3) <= SHARD_PREDICTION_SLACK
+            peak = traced_peak_gb(lambda: sharded.train_step(None, (x, y)))
+        return _city_planner(batch).shard_gb("per_sensor", num_sensors, 2) / peak
+
+    def test_prediction_within_twice_the_traced_peak_at_2000_sensors(self):
+        assert 1.0 <= self.caller_shard_ratio(2000) <= 2.0
+
+    def test_prediction_within_twice_the_traced_peak_at_10000_sensors(self):
+        assert 1.0 <= self.caller_shard_ratio(10_000) <= 2.0
+
+    def test_serial_step_within_twice_the_family_prediction_at_10000_sensors(self):
+        from repro.exec import make_executor
+        from repro.harness.bench import _build_city_model, _city_planner
+
+        x, y = city_batch(10_000)
+        with make_executor(_build_city_model(10_000, 0), ExecutorSpec.serial()) as serial:
+            peak = traced_peak_gb(lambda: serial.train_step(None, (x, y)))
+        assert peak <= 2.0 * _city_planner(4).family_gb("per_sensor", 10_000)
+
+    def test_sharded_forecast_matches_eval_forward_at_10000_sensors(self):
+        from repro.exec.base import eval_forward
+        from repro.harness.bench import _build_city_model
+
+        x, _ = city_batch(10_000)
+        expected = eval_forward(_build_city_model(10_000, 0), x[:1])
+        with ShardedExecutor(_build_city_model(10_000, 0), n_workers=2) as sharded:
+            forecast = sharded.predict(None, x[:1])
+        np.testing.assert_allclose(forecast, expected, rtol=0, atol=1e-9)
+
+
+class TestShardedServing:
+    def test_engine_forecasts_match_the_default_engine(self, tiny_dataset):
+        from repro.serve import ForecasterArtifact, ServeConfig, ServingEngine
+
+        artifact = ForecasterArtifact(
+            small_simst(tiny_dataset),
+            scaler=tiny_dataset.scaler,
+            model_name="simst",
+            history=SPEC.history,
+            horizon=SPEC.horizon,
+        )
+        window = tiny_dataset.train_raw[:, -SPEC.history :, :]
+        with ServingEngine(artifact, num_sensors=tiny_dataset.num_sensors) as engine:
+            expected = engine.forecast(window)
+        config = ServeConfig(executor=ExecutorSpec.sharded(n_workers=2))
+        with ServingEngine(artifact, num_sensors=tiny_dataset.num_sensors, config=config) as engine:
+            assert engine.executor_kind == "sharded"
+            served = engine.forecast(window)
+        assert expected.source == served.source == "model"
+        np.testing.assert_allclose(served.forecast, expected.forecast, rtol=0, atol=1e-9)
 
 
 BLAS_CHECK = """

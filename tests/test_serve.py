@@ -778,9 +778,11 @@ class TestServingEngine:
         with ServingEngine(artifact, num_sensors=4, config=config) as engine:
             for _ in range(HISTORY):
                 engine.ingest(100.0 + 20.0 * rng.standard_normal(4))
-            engine.forecast()
+            served = engine.forecast()
             slo = engine.stats.slo_report(p95_ms=60_000.0)
             snapshot = engine.snapshot()
+        # the interpreted backend serves the model itself, never the fallback
+        assert served.source == "model" and engine.stats.fallbacks == 0
         assert slo["model_id"] == artifact.model_id
         assert slo["artifact_version"] == 4
         assert slo["executor_kind"] == "inference"
