@@ -27,7 +27,7 @@ Subpackages
 ``repro.resilience``
     Fault tolerance: anomaly detection, divergence recovery, fault drills.
 ``repro.exec``
-    The Executor seam: serial / inference / compiled / sensor-sharded
+    The Executor seam: serial / compiled / sensor-sharded
     execution backends selected by ``ExecutorSpec`` (see DESIGN.md
     "Executor").
 ``repro.compile``

@@ -11,8 +11,9 @@ if it reproduces the interpreted loss and every parameter gradient to
 interpreted step did.  A plan that fails validation — or a trace that hits
 ``where``/BatchNorm-style unsupported state — pins the signature dead and
 the executor transparently serves it through the interpreted
-:class:`repro.exec.SerialExecutor` / :class:`repro.exec.InferenceExecutor`
-forever.  Either way the caller sees the ordinary Executor contract.
+:class:`repro.exec.SerialExecutor` step or the eval-mode forward
+(:func:`repro.exec.eval_forward`) forever.  Either way the caller sees the
+ordinary Executor contract.
 
 The interpreted path is also forced (per call, without touching the plan
 cache) whenever observation machinery is active — ``detect_anomaly``, an
@@ -35,8 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.loss import STWALoss
-from ..exec.base import Batch, Executor, StepResult, Weights
-from ..exec.inference import InferenceExecutor
+from ..exec.base import Batch, Executor, StepResult, Weights, eval_forward
 from ..exec.serial import SerialExecutor
 from ..nn.module import hook_generation
 from ..tensor import Tensor, hooks, no_grad, set_hooks
@@ -53,9 +53,9 @@ _RngStates = List[Tuple[np.random.Generator, dict]]
 class CompiledExecutor(Executor):
     """Trace-once/replay-many execution with guarded interpreted fallback.
 
-    Parameters mirror :class:`repro.exec.SerialExecutor` plus the serving
-    knobs of :class:`repro.exec.InferenceExecutor` (``scaler`` /
-    ``history``) so one compiled executor can stand in for either.
+    Parameters mirror :class:`repro.exec.SerialExecutor`, serving knobs
+    (``scaler`` / ``history``) included, so one compiled executor can stand
+    in for it under training and serving.
     """
 
     def __init__(
@@ -71,15 +71,12 @@ class CompiledExecutor(Executor):
         validate_rtol: float = 1e-9,
         loss_fn: Optional[STWALoss] = None,
     ):
-        super().__init__(model)
+        super().__init__(model, scaler=scaler, history=history)
         self.detect_anomaly = detect_anomaly
         self.loss_fn = loss_fn or STWALoss(delta=huber_delta, kl_weight=kl_weight)
-        self.scaler = scaler
-        self.history = None if history is None else int(history)
         self.validate_rtol = float(validate_rtol)
         self._kl_model = model if hasattr(model, "kl_divergence") else None
         self._serial = SerialExecutor(model, detect_anomaly=detect_anomaly, loss_fn=self.loss_fn)
-        self._infer = InferenceExecutor(model, scaler=scaler, history=history)
         self.train_plans = PlanCache(plan_capacity)
         self.predict_plans = PlanCache(plan_capacity)
         self._hook_generation = -1  # forces the first hook scan
@@ -93,15 +90,13 @@ class CompiledExecutor(Executor):
         }
 
     # ------------------------------------------------------------------ #
-    # lifecycle: the inner interpreted executors share our lifecycle
+    # lifecycle: the inner interpreted executor shares our lifecycle
     # ------------------------------------------------------------------ #
     def _acquire(self) -> None:
         self._serial.open()
-        self._infer.open()
 
     def _release(self) -> None:
         self._serial.close()
-        self._infer.close()
 
     # ------------------------------------------------------------------ #
     # fallback bookkeeping
@@ -156,8 +151,7 @@ class CompiledExecutor(Executor):
     def train_step(self, weights: Weights, batch: Batch) -> StepResult:
         self._require_open("train_step")
         x, y = batch
-        if weights is not None:
-            self.model.load_state_dict(weights)
+        self._load(weights)
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         forced = self._forced_interpreted()
@@ -293,43 +287,25 @@ class CompiledExecutor(Executor):
     # ------------------------------------------------------------------ #
     # prediction
     # ------------------------------------------------------------------ #
-    def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:
-        self._require_open("predict")
-        if weights is not None:
-            self.model.load_state_dict(weights)
+    def _forward(self, window: np.ndarray) -> np.ndarray:
         forced = self._forced_interpreted()
         if forced is not None:
             self._count_fallback(forced)
-            return self._infer.predict(None, inputs)
-        window = np.asarray(inputs, dtype=np.float64)
-        squeeze = window.ndim == 3
-        if squeeze:
-            window = window[None]
-        if self.history is not None and (
-            window.ndim != 4 or window.shape[2] != self.history
-        ):
-            raise ValueError(
-                f"expected (B, N, {self.history}, F) window, got shape {np.asarray(inputs).shape}"
-            )
-        if self.scaler is not None:
-            window = self.scaler.transform(window)
+            return eval_forward(self.model, window)
         signature = ("predict", window.shape, str(window.dtype))
         entry = self.predict_plans.get(signature)
         if entry is not None:
             status, payload = entry
-            if status == PlanCache.LIVE:
-                self.stats["replays"] += 1
-                forecast = payload.run_forward({"x": window})
-            else:
+            if status != PlanCache.LIVE:
                 self._count_fallback(f"dead_plan: {payload}")
-                return self._infer.predict(None, inputs)
+                return eval_forward(self.model, window)
+            self.stats["replays"] += 1
+            forecast = payload.run_forward({"x": window})
         else:
             forecast = self._trace_predict(signature, window)
         if self.scaler is not None:
-            forecast = self.scaler.inverse_transform(forecast)
-        else:
-            forecast = np.array(forecast)  # detach from the plan's reused buffer
-        return forecast[0] if squeeze else forecast
+            return forecast  # inverse_transform returns a fresh array
+        return np.array(forecast)  # detach from the plan's reused buffer
 
     def _trace_predict(self, signature, window: np.ndarray) -> np.ndarray:
         """Capture one eval-mode forward under ``no_grad``, lower, validate."""

@@ -6,15 +6,15 @@ micro-batched serving — implements one contract:
 
 * :class:`Executor` — ``train_step(weights, batch) -> StepResult`` /
   ``predict(weights, inputs) -> outputs`` plus an ``open()``/``close()``
-  resource lifecycle (:mod:`repro.exec.base`).
-* :class:`SerialExecutor` — in-process forward/backward.
+  resource lifecycle (:mod:`repro.exec.base`).  ``predict`` is defined
+  once there: rank handling, the optional ``history`` check and the
+  optional ``scaler`` wrap each kind's scaled-space forward.
+* :class:`SerialExecutor` — in-process forward/backward, and the
+  :class:`repro.tensor.inference_mode` graph-free forward for ``predict``.
 * :class:`ShardedExecutor` — contiguous *sensor*-dimension sharding over
   a :class:`repro.parallel.WorkerPool` for ``sensor_shardable`` models
   (any other model is refused), gradients tree-reduced; trains and
   serves, reassembling shard forecasts.
-* :class:`InferenceExecutor` — the :class:`repro.tensor.inference_mode`
-  graph-free fast path with optional scaler/shape handling; training
-  raises.
 * :class:`ExecutorSpec` + :func:`make_executor` — declarative selection.
 
 :class:`repro.training.Trainer` and :class:`repro.serve.ServingEngine`
@@ -33,7 +33,6 @@ from .base import (
     StepResult,
     eval_forward,
 )
-from .inference import InferenceExecutor
 from .serial import SerialExecutor
 from .sharded import ShardedExecutor
 from .spec import EXECUTOR_KINDS, ExecutorSpec, make_executor
@@ -45,7 +44,6 @@ __all__ = [
     "ExecutorError",
     "ExecutorStateError",
     "ExecutorSpec",
-    "InferenceExecutor",
     "SerialExecutor",
     "ShardedExecutor",
     "StepResult",

@@ -14,7 +14,10 @@ collapses them onto one seam:
   gradients (left on the model's parameters *and* returned), and a
   free-form ``stats`` dict of timings.
 * :meth:`Executor.predict(weights, inputs) <Executor.predict>` runs a
-  gradient-free forward pass and returns the outputs.
+  gradient-free forward pass and returns the outputs.  It is defined once,
+  here: ``(N, H, F)``/``(B, N, H, F)`` rank handling, the optional
+  ``history`` check and the optional ``scaler`` (raw units in and out)
+  wrap each kind's scaled-space :meth:`Executor._forward`.
 * :meth:`Executor.open` / :meth:`Executor.close` bracket resource
   ownership (worker processes, shared-memory buffers).  Opening an open
   executor or stepping a closed one raises :class:`ExecutorStateError`;
@@ -105,15 +108,28 @@ class Executor(abc.ABC):
     """Abstract execution backend over one model.
 
     Subclasses implement :meth:`_acquire` / :meth:`_release` for resource
-    ownership and the two step methods; the base class owns the lifecycle
-    state machine and the context-manager protocol.
+    ownership, :meth:`train_step` and the scaled-space :meth:`_forward`;
+    the base class owns the lifecycle state machine, the context-manager
+    protocol and :meth:`predict`'s raw-units wrapper.
+
+    Parameters
+    ----------
+    scaler:
+        Optional scaler applied around the forward pass (raw units in,
+        raw units out).  ``None`` means inputs and outputs stay in the
+        model's scaled space.
+    history:
+        Optional expected window length; when set, inputs whose time axis
+        disagrees raise ``ValueError`` before touching the model.
     """
 
     #: lifecycle states
     _CREATED, _OPEN, _CLOSED = "created", "open", "closed"
 
-    def __init__(self, model):
+    def __init__(self, model, *, scaler=None, history: Optional[int] = None):
         self.model = model
+        self.scaler = scaler
+        self.history = None if history is None else int(history)
         self._parameters = model.parameters()
         self._state = self._CREATED
 
@@ -187,9 +203,35 @@ class Executor(abc.ABC):
         against every implementation.
         """
 
-    @abc.abstractmethod
     def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:
-        """Gradient-free forward pass on ``inputs``; returns the outputs."""
+        """Forecast from a history window (single snapshot or batch).
+
+        ``inputs`` is ``(N, H, F)`` for one network snapshot or
+        ``(B, N, H, F)`` for a batch; the result keeps the input's rank.
+        With a scaler configured: scaling in, the kind's gradient-free
+        :meth:`_forward`, inverse scaling out — raw units end to end.
+        """
+        self._require_open("predict")
+        self._load(weights)
+        array = np.asarray(inputs, dtype=np.float64)
+        squeeze = array.ndim == 3
+        window = array[None] if squeeze else array
+        if self.history is not None and (
+            window.ndim != 4 or window.shape[2] != self.history
+        ):
+            raise ValueError(
+                f"expected (B, N, {self.history}, F) window, got shape {array.shape}"
+            )
+        if self.scaler is not None:
+            window = self.scaler.transform(window)
+        forecast = self._forward(window)
+        if self.scaler is not None:
+            forecast = self.scaler.inverse_transform(forecast)
+        return forecast[0] if squeeze else forecast
+
+    @abc.abstractmethod
+    def _forward(self, window: np.ndarray) -> np.ndarray:
+        """Gradient-free forward pass on a scaled ``(B, N, H, F)`` window."""
 
     # ------------------------------------------------------------------ #
     # data plumbing

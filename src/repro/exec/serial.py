@@ -6,7 +6,9 @@ the gradients, forward, loss (+ KL when the model exposes
 behind the :class:`repro.exec.Executor` contract so the serial path, the
 sensor-sharded pool and the compiled plan are interchangeable.  It holds
 no external resources: ``open``/``close`` only drive the lifecycle state
-machine.
+machine.  With a ``scaler``/``history`` it also serves raw-unit windows
+(:meth:`repro.exec.Executor.predict`): :class:`repro.serve.ForecasterArtifact`
+and the serving plane's persistence fallback predict through one.
 """
 
 from __future__ import annotations
@@ -35,8 +37,10 @@ class SerialExecutor(Executor):
         kl_weight: float = 0.0,
         detect_anomaly: bool = False,
         loss_fn: Optional[STWALoss] = None,
+        scaler=None,
+        history: Optional[int] = None,
     ):
-        super().__init__(model)
+        super().__init__(model, scaler=scaler, history=history)
         self.detect_anomaly = detect_anomaly
         self.loss_fn = loss_fn or STWALoss(delta=huber_delta, kl_weight=kl_weight)
         self._kl_model = model if hasattr(model, "kl_divergence") else None
@@ -67,8 +71,5 @@ class SerialExecutor(Executor):
             stats={"seconds": time.perf_counter() - start},
         )
 
-    def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:
-        """Eval-mode inference forward in scaled model space."""
-        self._require_open("predict")
-        self._load(weights)
-        return eval_forward(self.model, inputs)
+    def _forward(self, window: np.ndarray) -> np.ndarray:
+        return eval_forward(self.model, window)

@@ -68,8 +68,8 @@ time is reported as ``stats["augment"]``; it is part of that shard's
 
 ``predict`` fans out across the same pool through the same arena
 (:meth:`repro.parallel.WorkerPool.sensor_predict`) and reassembles with
-:func:`repro.parallel.unshard_sensors`, with the scaler/rank/history
-bookkeeping of :class:`repro.exec.InferenceExecutor` so
+:func:`repro.parallel.unshard_sensors`, inside the scaler/rank/history
+wrapper every kind shares (:meth:`repro.exec.Executor.predict`), so
 :class:`repro.serve.ServingEngine` can put a sharded executor directly
 behind a tenant.
 """
@@ -134,15 +134,13 @@ class ShardedExecutor(Executor):
         reason = _refusal(model)
         if reason is not None:
             raise ValueError(reason)
-        super().__init__(model)
+        super().__init__(model, scaler=scaler, history=history)
         self.n_workers = n_workers
         self.start_method = start_method
         self.detect_anomaly = detect_anomaly
         self.step_timeout = step_timeout
         self.huber_delta = huber_delta
         self.kl_weight = kl_weight
-        self.scaler = scaler
-        self.history = None if history is None else int(history)
         self._pool = None
         self._ranges: List[Tuple[int, int]] = []
 
@@ -224,32 +222,13 @@ class ShardedExecutor(Executor):
     # ------------------------------------------------------------------ #
     # serving: shard-fanout prediction across the same pool
     # ------------------------------------------------------------------ #
-    def predict(self, weights: Weights, inputs: np.ndarray) -> np.ndarray:
+    def _forward(self, window: np.ndarray) -> np.ndarray:
         """Fan a forecast out over the shards and reassemble.
 
-        Accepts ``(N, H, F)`` or ``(B, N, H, F)`` windows, applies the
-        configured scaler around the forward like
-        :class:`~repro.exec.inference.InferenceExecutor`, and always ships
-        the current parameters through the pool's arena — the workers'
-        copies are stale after any optimizer step in this process.  The
-        caller's own shard reads the model's parameters directly.
+        Always ships the current parameters through the pool's arena — the
+        workers' copies are stale after any optimizer step in this process.
+        The caller's own shard reads the model's parameters directly.
         """
-        self._require_open("predict")
         from ..parallel import unshard_sensors
 
-        self._load(weights)
-        array = np.asarray(inputs, dtype=np.float64)
-        squeeze = array.ndim == 3
-        window = array[None] if squeeze else array
-        if self.history is not None and (
-            window.ndim != 4 or window.shape[2] != self.history
-        ):
-            raise ValueError(
-                f"expected (B, N, {self.history}, F) window, got shape {array.shape}"
-            )
-        if self.scaler is not None:
-            window = self.scaler.transform(window)
-        forecast = unshard_sensors(self._pool.sensor_predict(window))
-        if self.scaler is not None:
-            forecast = self.scaler.inverse_transform(forecast)
-        return forecast[0] if squeeze else forecast
+        return unshard_sensors(self._pool.sensor_predict(window))

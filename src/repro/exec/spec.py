@@ -1,8 +1,8 @@
 """Executor selection: a declarative spec + the factory that builds one.
 
 :class:`ExecutorSpec` is the single configuration surface for *how* a model
-executes — serial in-process, compiled, sensor-sharded across a
-multiprocess worker pool, or gradient-free inference — independent of
+executes — serial in-process, compiled, or sensor-sharded across a
+multiprocess worker pool — independent of
 *what* runs (the model, the loss, the dataset).  :class:`repro.training.TrainerConfig` carries one, the
 serving plane builds one per artifact, and the harness benches sweep them.
 
@@ -21,7 +21,7 @@ from typing import Optional
 __all__ = ["EXECUTOR_KINDS", "ExecutorSpec", "make_executor"]
 
 #: the execution strategies the factory knows how to build
-EXECUTOR_KINDS = ("serial", "inference", "compiled", "sharded")
+EXECUTOR_KINDS = ("serial", "compiled", "sharded")
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class ExecutorSpec:
     Parameters
     ----------
     kind:
-        ``"serial"`` — in-process forward/backward;
-        ``"inference"`` — gradient-free prediction only (training raises);
+        ``"serial"`` — in-process forward/backward and eval-mode forward;
         ``"compiled"`` — trace-once/replay-many compiled plans
         (:mod:`repro.compile`), falling back to the interpreted executors
         for unsupported or shape-changing steps;
@@ -97,10 +96,6 @@ class ExecutorSpec:
         )
 
     @classmethod
-    def inference(cls) -> "ExecutorSpec":
-        return cls(kind="inference")
-
-    @classmethod
     def compiled(cls, *, detect_anomaly: bool = False) -> "ExecutorSpec":
         return cls(kind="compiled", detect_anomaly=detect_anomaly)
 
@@ -119,14 +114,12 @@ def make_executor(
 ):
     """Build the :class:`Executor` described by ``spec`` over ``model``.
 
-    ``huber_delta`` / ``kl_weight`` parameterize the training loss (unused
-    by inference executors); ``scaler`` / ``history`` configure executors
-    that serve raw-unit windows (see
-    :class:`repro.exec.inference.InferenceExecutor`).  A ``"sharded"`` spec
+    ``huber_delta`` / ``kl_weight`` parameterize the training loss;
+    ``scaler`` / ``history`` configure executors that serve raw-unit
+    windows (see :meth:`repro.exec.Executor.predict`).  A ``"sharded"`` spec
     over a model that cannot be sensor-sharded raises ``ValueError`` naming
     the model and the reason.
     """
-    from .inference import InferenceExecutor
     from .serial import SerialExecutor
 
     if spec.kind == "serial":
@@ -135,6 +128,8 @@ def make_executor(
             huber_delta=huber_delta,
             kl_weight=kl_weight,
             detect_anomaly=spec.detect_anomaly,
+            scaler=scaler,
+            history=history,
         )
     if spec.kind == "compiled":
         from repro.compile import CompiledExecutor
@@ -147,18 +142,16 @@ def make_executor(
             scaler=scaler,
             history=history,
         )
-    if spec.kind == "sharded":
-        from .sharded import ShardedExecutor
+    from .sharded import ShardedExecutor
 
-        return ShardedExecutor(
-            model,
-            n_workers=spec.n_workers,
-            start_method=spec.start_method,
-            detect_anomaly=spec.detect_anomaly,
-            step_timeout=spec.step_timeout,
-            huber_delta=huber_delta,
-            kl_weight=kl_weight,
-            scaler=scaler,
-            history=history,
-        )
-    return InferenceExecutor(model, scaler=scaler, history=history)
+    return ShardedExecutor(
+        model,
+        n_workers=spec.n_workers,
+        start_method=spec.start_method,
+        detect_anomaly=spec.detect_anomaly,
+        step_timeout=spec.step_timeout,
+        huber_delta=huber_delta,
+        kl_weight=kl_weight,
+        scaler=scaler,
+        history=history,
+    )

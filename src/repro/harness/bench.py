@@ -19,8 +19,9 @@ One run times a fixed suite and writes ``<out>/BENCH_<date>.json`` (schema
   (:class:`repro.exec.ShardedExecutor`).
 
 Every row holds its best-of-N ``seconds`` and its counters.  ``deltas``
-gives ``(new - old) / old`` seconds for every row the most recent other
-``BENCH_*.json`` in the output directory also holds.  ``gates`` gives each
+gives ``(new - old) / old`` seconds for every row the newest
+``BENCH_*.json`` in the output directory dated no later than this run
+(the same date's file included) also holds.  ``gates`` gives each
 gate its ``measured`` value, ``threshold``, whether it is ``enforced`` and
 whether it ``passed``:
 
@@ -362,8 +363,12 @@ def _measure(settings: RunSettings) -> Dict[str, Dict[str, object]]:
 
 
 def _find_previous(out_dir: Path, current_name: str) -> Optional[Path]:
-    """Most recent ``BENCH_*.json`` in ``out_dir`` other than ``current_name``."""
-    candidates = sorted(p for p in out_dir.glob("BENCH_*.json") if p.name != current_name)
+    """Newest ``BENCH_*.json`` in ``out_dir`` dated no later than ``current_name``.
+
+    The current file itself counts: a run on the date of the last baseline
+    diffs against it (it is read before this run overwrites it).
+    """
+    candidates = sorted(p for p in out_dir.glob("BENCH_*.json") if p.name <= current_name)
     return candidates[-1] if candidates else None
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..data.datasets import TrafficDataset, load_dataset
 from ..data.scalers import MinMaxScaler, StandardScaler
-from ..exec import InferenceExecutor
+from ..exec import SerialExecutor
 from ..nn import Module
 from ..training.checkpoint import (
     CheckpointError,
@@ -200,7 +200,7 @@ class ForecasterArtifact:
         #: the execution seam (repro.exec): scaler + shape handling + the
         #: inference_mode forward live there, shared with every other
         #: prediction surface.  Resource-free, so it stays open for life.
-        self.executor = InferenceExecutor(
+        self.executor = SerialExecutor(
             self.model, scaler=self.scaler, history=self.history
         ).open()
         #: stable identity for cache keys: architecture + exact weights
@@ -269,7 +269,7 @@ class ForecasterArtifact:
         ``window`` is ``(N, H, F)`` for one network snapshot or
         ``(B, N, H, F)`` for a batch; the result keeps the input's rank
         (``(N, U, F)`` / ``(B, N, U, F)``).  Delegates to the artifact's
-        :class:`repro.exec.InferenceExecutor`: scaling in, graph-free
+        :class:`repro.exec.SerialExecutor`: scaling in, graph-free
         forward under :class:`repro.tensor.inference_mode`, inverse scaling
         out.
         """

@@ -27,8 +27,8 @@ Model forwards run on compiled plans by default
 size, each validated against the interpreter when it is traced, with the
 interpreted path as the guarded fallback (and the only path while the
 model carries forward hooks).
-``ExecutorSpec.inference()`` serves through the artifact's
-``InferenceExecutor`` instead.
+``ExecutorSpec.serial()`` serves through the artifact's interpreted
+``SerialExecutor`` instead.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..baselines.classical import PersistenceForecaster
-from ..exec import ExecutorSpec, InferenceExecutor, make_executor
+from ..exec import ExecutorSpec, SerialExecutor, make_executor
 from ..obs import MetricsSink, NullSink, SafeSink
 from ..resilience import CircuitBreaker
 from .artifact import ForecasterArtifact
@@ -67,7 +67,7 @@ class ServeConfig:
     latency_capacity: int = 4096  # latency reservoir size
     #: prediction backend: compiled trace-once/replay-many plans
     #: (repro.compile) with transparent interpreted fallback;
-    #: ExecutorSpec.inference() (or None) -> the artifact's InferenceExecutor
+    #: ExecutorSpec.serial() (or None) -> the artifact's SerialExecutor
     executor: Optional[ExecutorSpec] = ExecutorSpec.compiled()
 
 
@@ -129,9 +129,9 @@ class ServingEngine:
             cooldown_s=self.config.cooldown_s,
             on_transition=self._on_circuit_transition,
         )
-        # degraded path: a persistence forecast through its own inference
+        # degraded path: a persistence forecast through its own serial
         # executor — raw units in/out, no scaler, and never the model
-        self._fallback_executor = InferenceExecutor(
+        self._fallback_executor = SerialExecutor(
             PersistenceForecaster(artifact.history, artifact.horizon),
             history=artifact.history,
         ).open()
@@ -140,15 +140,10 @@ class ServingEngine:
         )
         self._observed = self.config.sink is not None
         # the batcher's forward runs through the repro.exec seam — by
-        # default compiled plans, one per batch size; kind="inference"
-        # keeps the artifact's own InferenceExecutor
+        # default compiled plans, one per batch size; kind="serial" keeps
+        # the artifact's own SerialExecutor
         spec = self.config.executor
-        if spec is not None and spec.kind != "inference":
-            if spec.kind not in ("compiled", "sharded"):
-                raise ValueError(
-                    "ServeConfig.executor must be an inference, compiled, or "
-                    f"sharded spec, got kind={spec.kind!r}"
-                )
+        if spec is not None and spec.kind != "serial":
             self.executor_kind = spec.kind
             self._model_executor = make_executor(
                 artifact.model,
@@ -158,7 +153,7 @@ class ServingEngine:
             ).open()
             self._owns_model_executor = True
         else:
-            self.executor_kind = "inference"
+            self.executor_kind = "serial"
             self._model_executor = artifact.executor
             self._owns_model_executor = False
         # identity-stamped stats: every snapshot / SLO report names the

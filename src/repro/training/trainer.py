@@ -41,8 +41,8 @@ optimizer state, checkpoints, recovery, and RNG streams all stay
 in-process and the features above compose with sharding unchanged.
 Batches are assembled in this process for every executor.  The sharded loss
 trajectory matches serial training to float64 reduction accuracy at any
-shard count.  Evaluation and prediction route through a
-:class:`repro.exec.InferenceExecutor` (the same graph-free fast path the
+shard count.  Evaluation and prediction route through a scaler-less
+:class:`repro.exec.SerialExecutor` (the same graph-free fast path the
 serving plane uses); validation inside ``fit`` on a sensor-sharded
 executor runs on its worker pool instead.
 
@@ -64,7 +64,7 @@ import numpy as np
 
 from ..data.datasets import TrafficDataset
 from ..data.windows import BatchIterator, SlidingWindowDataset, WindowSpec
-from ..exec import ExecutorSpec, InferenceExecutor, make_executor
+from ..exec import ExecutorSpec, SerialExecutor, make_executor
 from ..nn import Module
 from ..obs import MetricsSink, NullSink, SafeSink
 from ..optim import Adam, EarlyStopping, clip_grad_norm
@@ -190,7 +190,7 @@ class Trainer:
         # evaluation/prediction share the serving plane's graph-free fast
         # path; inputs are already in scaled model space, so no scaler.
         # Resource-free, so it can stay open for the trainer's lifetime.
-        self._infer = InferenceExecutor(model).open()
+        self._infer = SerialExecutor(model).open()
         # what evaluate() predicts through: the in-process executor, or a
         # sensor-sharded pool while fit() has it open
         self._evaluator = self._infer
@@ -206,11 +206,6 @@ class Trainer:
         spec = cfg.executor
         if spec is None:
             return ExecutorSpec.serial(detect_anomaly=cfg.detect_anomaly)
-        if spec.kind == "inference":
-            raise ValueError(
-                "TrainerConfig(executor=...) must be a serial, compiled, or "
-                "sharded spec; an inference executor cannot train"
-            )
         if cfg.detect_anomaly and not spec.detect_anomaly:
             spec = spec.with_overrides(detect_anomaly=True)
         return spec
@@ -559,7 +554,7 @@ class Trainer:
     def evaluate(self, split: str = "test", max_batches: Optional[int] = None) -> Dict[str, float]:
         """Raw-unit MAE/RMSE/MAPE over ``split`` (NaN targets are masked).
 
-        Predicts through the in-process :class:`repro.exec.InferenceExecutor`,
+        Predicts through the in-process :class:`repro.exec.SerialExecutor`,
         except while :meth:`fit` has a sensor-sharded executor open: then the
         forecasts come from its worker pool.
         """
@@ -583,7 +578,7 @@ class Trainer:
     def predict(self, x_batch: np.ndarray) -> np.ndarray:
         """Forecast raw-unit values for a scaled input batch (eval mode).
 
-        Runs through the trainer's :class:`repro.exec.InferenceExecutor`
+        Runs through the trainer's in-process :class:`repro.exec.SerialExecutor`
         (graph-free forward, dropout and latent sampling off); the model's
         previous train/eval mode is restored afterward.
         """

@@ -40,6 +40,6 @@ def test_snapshot_covers_the_executor_subsystem():
     surface = json.loads(SNAPSHOT.read_text())
     exported = surface["repro.exec"]
     for name in ("Executor", "ExecutorSpec", "SerialExecutor", "ShardedExecutor",
-                 "InferenceExecutor", "StepResult", "make_executor"):
+                 "StepResult", "make_executor"):
         assert name in exported
     assert "(self, weights" in exported["Executor"]["methods"]["train_step"]

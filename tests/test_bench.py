@@ -148,13 +148,29 @@ class TestBenchRun:
         assert list(tmp_path.iterdir()) == []
 
     def test_find_previous_picks_newest_other_file(self, tmp_path):
-        for name in ("BENCH_2026-01-01.json", "BENCH_2025-12-30.json", "BENCH_2026-01-02.json"):
+        """The newest file dated no later than the run, the run's own date included."""
+        for name in ("BENCH_2026-01-01.json", "BENCH_2025-12-30.json", "BENCH_2026-01-03.json"):
             (tmp_path / name).write_text("{}")
         previous = bench._find_previous(tmp_path, "BENCH_2026-01-02.json")
         assert previous.name == "BENCH_2026-01-01.json"
+        same_day = bench._find_previous(tmp_path, "BENCH_2026-01-01.json")
+        assert same_day.name == "BENCH_2026-01-01.json"
+        assert bench._find_previous(tmp_path, "BENCH_2025-12-29.json") is None
         empty = tmp_path / "empty"
         empty.mkdir()
         assert bench._find_previous(empty, "BENCH_2026-01-02.json") is None
+
+    def test_same_date_run_enforces_the_wall_gate(self, first_run, measured, tmp_path):
+        """A run dated like the baseline diffs against it before overwriting it."""
+        baseline = json.loads((first_run[0] / "BENCH_2026-01-01.json").read_text())
+        baseline["rows"][EPOCH]["seconds"] = measured[EPOCH]["seconds"] / (1 + bench.MAX_REGRESSION) * 0.99
+        (tmp_path / "BENCH_2026-01-01.json").write_text(json.dumps(baseline))
+        rerun = bench.run(settings=SMOKE, out_dir=tmp_path, date="2026-01-01", check=True)
+        payload = rerun.extras["payload"]
+        assert payload["previous"] == "BENCH_2026-01-01.json"
+        gate = payload["gates"]["st-wa-epoch-wall"]
+        assert gate["enforced"] and gate["passed"] is False
+        assert rerun.extras["regressed"]
 
 
 class TestBenchCLI:

@@ -652,7 +652,7 @@ class TestServing:
     def test_compiled_engine_matches_inference_and_stamps_kind(self):
         artifact, window = _gru_artifact()
         sink = ListSink()
-        interpreted = ServeConfig(executor=ExecutorSpec.inference())
+        interpreted = ServeConfig(executor=ExecutorSpec.serial())
         with ServingEngine(artifact, num_sensors=4, config=interpreted) as engine:
             expected = engine.forecast(window)
         config = ServeConfig(executor=ExecutorSpec.compiled(), sink=sink)
@@ -671,11 +671,14 @@ class TestServing:
         slo_events = [e for e in sink.events if e.get("event") == "slo_report"]
         assert slo_events and slo_events[0]["executor_kind"] == "compiled"
 
-    def test_serve_config_rejects_training_spec(self):
-        artifact, _ = _gru_artifact()
-        with pytest.raises(ValueError, match="inference, compiled, or sharded"):
-            ServingEngine(
-                artifact,
-                num_sensors=4,
-                config=ServeConfig(executor=ExecutorSpec.serial()),
-            )
+    def test_serial_spec_serves_through_the_artifact_executor(self):
+        artifact, window = _gru_artifact()
+        config = ServeConfig(executor=ExecutorSpec.serial())
+        with ServingEngine(artifact, num_sensors=4, config=config) as engine:
+            assert engine._model_executor is artifact.executor
+            assert engine.executor_kind == "serial"
+            result = engine.forecast(window)
+            snapshot = engine.snapshot()
+        assert result.source == "model"
+        assert np.array_equal(result.forecast, artifact.predict(window))
+        assert snapshot["executor_kind"] == "serial"

@@ -1,15 +1,18 @@
 """Executor conformance suite (repro.exec).
 
-Every executor — serial, compiled, sharded, inference — must honor one
-contract: the open/close lifecycle state machine, ``train_step`` leaving
-gradients on the model, ``predict`` returning the eval-mode forward.  The
-headline checks: serial and sensor-sharded executors produce identical
-losses and gradients (1e-6 rtol) on a fixed seeded batch of a SimST model,
-and the same predictions from the same weights; a model that cannot be
-sensor-sharded is refused by name.
+Every executor — serial, compiled, sharded — must honor one contract: the
+open/close lifecycle state machine, ``train_step`` leaving gradients on the
+model, ``predict`` returning the eval-mode forward inside one raw-units
+wrapper (rank, history check, scaler).  The headline checks: serial and
+sensor-sharded executors produce identical losses and gradients (1e-6
+rtol) on a fixed seeded batch of a SimST model, and the same predictions
+from the same weights; a model that cannot be sensor-sharded is refused by
+name.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from repro.exec import (
     ExecutorError,
     ExecutorSpec,
     ExecutorStateError,
-    InferenceExecutor,
     SerialExecutor,
     ShardedExecutor,
     StepResult,
@@ -59,9 +61,7 @@ def make_exec(kind: str, tiny_dataset):
     model = small_model(tiny_dataset.num_sensors)
     if kind == "serial":
         return SerialExecutor(model)
-    if kind == "compiled":
-        return CompiledExecutor(model)
-    return InferenceExecutor(model)
+    return CompiledExecutor(model)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ class TestLifecycle:
         with pytest.raises(ExecutorStateError):
             executor.predict(None, seeded_batch[0])
 
-    @pytest.mark.parametrize("kind", ["serial", "inference", "compiled"])
+    @pytest.mark.parametrize("kind", ["serial", "compiled"])
     def test_double_open_raises(self, kind, tiny_dataset):
         executor = make_exec(kind, tiny_dataset).open()
         try:
@@ -93,7 +93,7 @@ class TestLifecycle:
         finally:
             executor.close()
 
-    @pytest.mark.parametrize("kind", ["serial", "inference", "compiled"])
+    @pytest.mark.parametrize("kind", ["serial", "compiled"])
     def test_close_then_step_raises_and_reopen_works(
         self, kind, tiny_dataset, seeded_batch
     ):
@@ -130,15 +130,6 @@ class TestLifecycle:
 # the equivalence gates: one step logic, many backends
 # --------------------------------------------------------------------- #
 class TestEquivalence:
-    def test_inference_matches_serial_predictions(self, tiny_dataset, seeded_batch):
-        x, _ = seeded_batch
-        with make_exec("serial", tiny_dataset) as serial, make_exec(
-            "inference", tiny_dataset
-        ) as inference:
-            np.testing.assert_array_equal(
-                inference.predict(None, x), serial.predict(None, x)
-            )
-
     def test_gradients_land_on_the_model(self, tiny_dataset, seeded_batch):
         with make_exec("serial", tiny_dataset) as executor:
             result = executor.train_step(None, seeded_batch)
@@ -255,38 +246,54 @@ class TestShardedExecutor:
 
 
 # --------------------------------------------------------------------- #
-# inference executors can never train
+# one raw-units predict contract: rank, history check, scaler
 # --------------------------------------------------------------------- #
-class TestInferenceExecutor:
-    def test_train_step_always_raises(self, tiny_dataset, seeded_batch):
-        with make_exec("inference", tiny_dataset) as executor:
-            with pytest.raises(ExecutorError, match="cannot train"):
-                executor.train_step(None, seeded_batch)
+@pytest.fixture(scope="class", params=EXECUTOR_KINDS)
+def raw_units_pair(request, tiny_dataset):
+    """An open ``(executor, serial reference)`` pair serving raw units.
 
-    def test_history_validation(self, tiny_dataset, seeded_batch):
-        model = small_model(tiny_dataset.num_sensors)
-        executor = InferenceExecutor(model, history=SPEC.history).open()
-        x, _ = seeded_batch
-        with pytest.raises(ValueError, match="window"):
-            executor.predict(None, x[:, :, :-1])
-        executor.close()
+    Both hold the same weights, the dataset's scaler and ``history``; the
+    sharded kind runs SimST, the others ST-WA.
+    """
+    kind = request.param
+    build = small_simst if kind == "sharded" else small_model
+    spec = ExecutorSpec.sharded(n_workers=2) if kind == "sharded" else ExecutorSpec(kind=kind)
+    knobs = {"scaler": tiny_dataset.scaler, "history": SPEC.history}
+    executor = make_executor(build(tiny_dataset.num_sensors), spec, **knobs).open()
+    reference = SerialExecutor(build(tiny_dataset.num_sensors), **knobs).open()
+    yield executor, reference
+    executor.close()
+    reference.close()
 
-    def test_nested_list_with_wrong_history_raises_value_error(
-        self, tiny_dataset, seeded_batch
-    ):
-        model = small_model(tiny_dataset.num_sensors)
-        x, _ = seeded_batch
-        with InferenceExecutor(model, history=SPEC.history) as executor:
-            with pytest.raises(ValueError, match=r"got shape \(8, 11, 1\)"):
-                executor.predict(None, x[0, :, :-1].tolist())
 
-    def test_single_snapshot_keeps_rank(self, tiny_dataset, seeded_batch):
-        x, _ = seeded_batch
-        with make_exec("inference", tiny_dataset) as executor:
-            batched = executor.predict(None, x[:1])
-            single = executor.predict(None, x[0])
+class TestRawUnitsContract:
+    """``Executor.predict`` wraps every kind's forward the same way."""
+
+    def test_single_window_keeps_rank(self, raw_units_pair, tiny_dataset, seeded_batch):
+        executor, _ = raw_units_pair
+        raw = tiny_dataset.scaler.inverse_transform(seeded_batch[0])
+        batched = executor.predict(None, raw[:1])
+        single = executor.predict(None, raw[0])
         assert single.ndim == 3
-        np.testing.assert_array_equal(single, batched[0])
+        assert np.array_equal(single, batched[0])
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_wrong_history_raises_with_the_shape(self, raw_units_pair, seeded_batch, rank):
+        executor, _ = raw_units_pair
+        x = seeded_batch[0][:2, :, :-1]
+        window = x[0] if rank == 3 else x
+        message = f"expected (B, N, 12, F) window, got shape {window.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            executor.predict(None, window.tolist())
+
+    def test_scaler_round_trip_matches_serial(self, raw_units_pair, tiny_dataset, seeded_batch):
+        executor, reference = raw_units_pair
+        raw = tiny_dataset.scaler.inverse_transform(seeded_batch[0])
+        expected = reference.predict(None, raw)
+        first = executor.predict(None, raw)
+        again = executor.predict(None, raw)  # the compiled kind replays here
+        assert np.array_equal(first, expected)
+        assert np.array_equal(again, expected)
 
 
 # --------------------------------------------------------------------- #
@@ -314,7 +321,7 @@ class TestExecutorSpec:
         [
             (ExecutorSpec.serial(), SerialExecutor),
             (ExecutorSpec.sharded(n_workers=3), ShardedExecutor),
-            (ExecutorSpec.inference(), InferenceExecutor),
+            (ExecutorSpec.serial(detect_anomaly=True), SerialExecutor),
             (ExecutorSpec.compiled(), CompiledExecutor),
             (ExecutorSpec.sharded(n_workers=2), ShardedExecutor),
         ],
@@ -324,6 +331,7 @@ class TestExecutorSpec:
         executor = make_executor(build(tiny_dataset.num_sensors), spec)
         assert type(executor) is expected
         assert getattr(executor, "n_workers", spec.n_workers) == spec.n_workers
+        assert executor.detect_anomaly == spec.detect_anomaly
 
 
 # --------------------------------------------------------------------- #
@@ -335,12 +343,6 @@ class TestTrainerShim:
         trainer = Trainer(model, tiny_dataset, SPEC, TrainerConfig())
         assert trainer.executor_spec.kind == "serial"
         assert isinstance(trainer.executor, SerialExecutor)
-
-    def test_inference_spec_rejected(self, tiny_dataset):
-        model = small_model(tiny_dataset.num_sensors)
-        config = TrainerConfig(executor=ExecutorSpec.inference())
-        with pytest.raises(ValueError, match="cannot train"):
-            Trainer(model, tiny_dataset, SPEC, config)
 
     def test_executor_closed_after_fit(self, tiny_dataset):
         model = small_model(tiny_dataset.num_sensors)

@@ -774,7 +774,7 @@ class TestServingEngine:
         artifact = make_artifact()
         artifact.metadata["registry"] = {"model_id": "city-a", "version": 4}
         # pins the interpreted backend's stamp, so it asks for that backend
-        config = ServeConfig(max_wait_ms=0.5, executor=ExecutorSpec.inference())
+        config = ServeConfig(max_wait_ms=0.5, executor=ExecutorSpec.serial())
         with ServingEngine(artifact, num_sensors=4, config=config) as engine:
             for _ in range(HISTORY):
                 engine.ingest(100.0 + 20.0 * rng.standard_normal(4))
@@ -785,9 +785,9 @@ class TestServingEngine:
         assert served.source == "model" and engine.stats.fallbacks == 0
         assert slo["model_id"] == artifact.model_id
         assert slo["artifact_version"] == 4
-        assert slo["executor_kind"] == "inference"
+        assert slo["executor_kind"] == "serial"
         assert snapshot["artifact_version"] == 4
-        assert snapshot["executor_kind"] == "inference"
+        assert snapshot["executor_kind"] == "serial"
 
     def test_unregistered_artifact_has_no_version(self, rng):
         with make_engine(rng) as engine:
