@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.data import WindowSpec, load_dataset
 from repro.harness import RunSettings, train_and_score
-from repro.harness.table6 import paper_scale_memory_gb
+from repro.harness.tables import paper_scale_memory_gb
 
 MODELS = ("STFGNN", "EnhanceNet", "AGCRN", "ST-WA")
 HISTORY = HORIZON = 72

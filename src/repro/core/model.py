@@ -56,7 +56,6 @@ class STWAConfig:
     deterministic: bool = False
     aggregator: str = "weighted"
     sensor_attention: bool = True
-    kl_weight: float = 0.02
     flow_layers: int = 0  # >0 enables normalizing-flow latents (future work)
     skip_dim: int = 32
     predictor_hidden: int = 128

@@ -32,7 +32,6 @@ class STAttentionConfig:
     latent_dim: int = 8
     num_layers: int = 2
     latent_mode: str = "st"  # "st" -> ATT+ST, "spatial" -> ATT+S
-    kl_weight: float = 0.1
     decoder_hidden: Tuple[int, ...] = (16, 32)
     predictor_hidden: int = 128
     seed: int = 0

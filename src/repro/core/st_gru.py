@@ -31,7 +31,6 @@ class STGRUConfig:
     hidden_size: int = 16
     latent_dim: int = 8
     latent_mode: str = "st"  # "st" -> GRU+ST, "spatial" -> GRU+S
-    kl_weight: float = 0.1
     decoder_hidden: Tuple[int, ...] = (16, 32)
     predictor_hidden: int = 128
     seed: int = 0

@@ -34,7 +34,6 @@ class STTCNConfig:
     num_layers: int = 2
     latent_dim: int = 8
     latent_mode: str = "st"  # "st" -> TCN+ST, "spatial" -> TCN+S
-    kl_weight: float = 0.02
     decoder_hidden: Tuple[int, ...] = (16, 32)
     predictor_hidden: int = 128
     seed: int = 0

@@ -95,7 +95,6 @@ def make_deterministic_st_wa(num_sensors: int, history: int = 12, horizon: int =
     """Deterministic ST-WA (Table XI): latents collapse to their means, no KL."""
     overrides.setdefault("latent_mode", "st")
     overrides.setdefault("deterministic", True)
-    overrides.setdefault("kl_weight", 0.0)
     return STWA(_base_config(num_sensors, history, horizon, window_sizes, seed, **overrides))
 
 

@@ -38,7 +38,7 @@ from ..resilience import (
     SimulatedCrash,
     inject_sensor_dropout,
 )
-from ..training import Trainer, TrainerConfig, latest_checkpoint
+from ..training import Trainer, latest_checkpoint
 from .reporting import TableResult, fmt
 from .runner import RunSettings, get_dataset
 
@@ -58,17 +58,7 @@ def _build(
     """A fresh model + Trainer configured from ``settings`` (harness style)."""
     spec = BuildSpec(dataset=dataset, history=HISTORY, horizon=HORIZON, seed=settings.seed)
     model = build_from_spec(model_name, spec)
-    config = TrainerConfig(
-        lr=settings.lr,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        patience=settings.patience,
-        max_batches_per_epoch=settings.max_batches,
-        eval_batches=settings.eval_batches,
-        seed=settings.seed,
-        **overrides,
-    )
-    return Trainer(model, dataset, WindowSpec(HISTORY, HORIZON), config)
+    return Trainer(model, dataset, WindowSpec(HISTORY, HORIZON), settings.trainer_config(**overrides))
 
 
 def _kill_resume(

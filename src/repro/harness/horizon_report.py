@@ -17,7 +17,7 @@ import numpy as np
 from ..baselines import BuildSpec, build_from_spec
 from ..data import BatchIterator, SlidingWindowDataset, WindowSpec
 from ..tensor import Tensor, no_grad
-from ..training import Trainer, TrainerConfig, horizon_breakdown
+from ..training import Trainer, horizon_breakdown
 from .reporting import TableResult, fmt
 from .runner import NON_TRAINED, RunSettings, get_dataset
 
@@ -41,16 +41,7 @@ def run(
         model = build_from_spec(
             name, BuildSpec(dataset=dataset, history=history, horizon=horizon, seed=settings.seed)
         )
-        config = TrainerConfig(
-            lr=settings.lr,
-            epochs=settings.epochs,
-            batch_size=settings.batch_size,
-            patience=settings.patience,
-            max_batches_per_epoch=settings.max_batches,
-            eval_batches=settings.eval_batches,
-            seed=settings.seed,
-        )
-        trainer = Trainer(model, dataset, spec, config)
+        trainer = Trainer(model, dataset, spec, settings.trainer_config())
         if name.lower() not in NON_TRAINED and model.parameters():
             trainer.fit()
         # collect raw-unit predictions for the breakdown

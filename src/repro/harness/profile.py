@@ -20,7 +20,7 @@ from typing import Optional
 from .. import obs
 from ..baselines import BuildSpec, build_from_spec
 from ..data import WindowSpec
-from ..training import Trainer, TrainerConfig
+from ..training import Trainer
 from .reporting import PathLike, TableResult, fmt
 from .runner import NON_TRAINED, RunSettings, get_dataset
 
@@ -41,15 +41,10 @@ def run(
     model = build_from_spec(
         key, BuildSpec(dataset=dataset, history=history, horizon=horizon, seed=settings.seed)
     )
-    config = TrainerConfig(
-        lr=settings.lr,
+    config = settings.trainer_config(
         epochs=min(settings.epochs, 2),
-        batch_size=settings.batch_size,
-        patience=settings.patience,
         max_batches_per_epoch=min(settings.max_batches, 3),
         eval_batches=1,
-        seed=settings.seed,
-        sink=settings.sink,
     )
     trainer = Trainer(model, dataset, WindowSpec(history, horizon), config)
     with obs.profile(model=model) as prof:

@@ -70,6 +70,26 @@ class RunSettings:
     def with_overrides(self, **kwargs) -> "RunSettings":
         return replace(self, **kwargs)
 
+    def trainer_config(self, **overrides) -> TrainerConfig:
+        """The :class:`TrainerConfig` these settings train with.
+
+        Every harness run builds its config here, so ``sink`` reaches
+        every trainer; ``overrides`` replace individual fields (e.g.
+        ``kl_weight`` for Table X, ``checkpoint_dir`` for a chaos drill).
+        """
+        fields = dict(
+            lr=self.lr,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            patience=self.patience,
+            max_batches_per_epoch=self.max_batches,
+            eval_batches=self.eval_batches,
+            seed=self.seed,
+            sink=self.sink,
+        )
+        fields.update(overrides)
+        return TrainerConfig(**fields)
+
 
 _DATASET_CACHE: Dict[tuple, TrafficDataset] = {}
 
@@ -108,24 +128,15 @@ def train_and_score_model(
     horizon: int,
     settings: RunSettings,
     name: str = "",
+    **trainer_overrides,
 ) -> Dict[str, float]:
     """Like :func:`train_and_score` for an already-instantiated model.
 
-    Used by the ablation tables, which sweep :class:`repro.core.STWAConfig`
-    fields the registry does not expose.
+    ``trainer_overrides`` replace :class:`TrainerConfig` fields (see
+    :meth:`RunSettings.trainer_config`), e.g. Table X's ``kl_weight``.
     """
-    spec = WindowSpec(history, horizon)
-    config = TrainerConfig(
-        lr=settings.lr,
-        epochs=settings.epochs,
-        batch_size=settings.batch_size,
-        patience=settings.patience,
-        max_batches_per_epoch=settings.max_batches,
-        eval_batches=settings.eval_batches,
-        seed=settings.seed,
-        sink=settings.sink,
-    )
-    trainer = Trainer(model, dataset, spec, config)
+    config = settings.trainer_config(**trainer_overrides)
+    trainer = Trainer(model, dataset, WindowSpec(history, horizon), config)
     start = time.perf_counter()
     if name.lower() in NON_TRAINED or not model.parameters():
         seconds_per_epoch = 0.0

@@ -47,8 +47,7 @@ class TestHarnessCLI:
         with pytest.raises(SystemExit):
             harness_main(["tableX"])
 
-    def test_runs_one_experiment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCOPE", "smoke")
+    def test_runs_one_experiment(self, tmp_path, capsys):
         code = harness_main(["table11", "--scope", "smoke", "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "table11.txt").exists()

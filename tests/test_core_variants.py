@@ -17,6 +17,7 @@ from repro.core import (
     make_wa,
     make_wa1,
 )
+from repro.tensor import Tensor
 
 
 class TestFactoryFlags:
@@ -42,7 +43,8 @@ class TestFactoryFlags:
     def test_deterministic_flags(self):
         model = make_deterministic_st_wa(4, model_dim=8, latent_dim=4, skip_dim=8, predictor_hidden=16)
         assert model.latent.deterministic
-        assert model.config.kl_weight == 0.0
+        model(Tensor(np.zeros((2, 4, 12, 1))))
+        assert model.kl_divergence() is None  # no KL term for the loss to weigh
 
     def test_mean_aggregator(self):
         model = make_mean_aggregator_st_wa(4, model_dim=8, latent_dim=4, skip_dim=8, predictor_hidden=16)

@@ -2,14 +2,53 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.harness import EXPERIMENTS, RunSettings, TableResult, fmt, get_dataset, train_and_score
-from repro.harness.table6 import paper_scale_memory_gb
+from repro.baselines import model_family
+from repro.core import make_st_wa
+from repro.harness import (
+    EXPERIMENTS,
+    TABLES,
+    Row,
+    RunSettings,
+    TableResult,
+    figure9,
+    fmt,
+    get_dataset,
+    horizon_report,
+    run_table,
+    train_and_score,
+)
+from repro.harness.tables import build_row, is_oom, paper_scale_memory_gb
+from repro.training.memory import ModelDims, activation_gb
 
 
 MICRO = RunSettings(epochs=1, max_batches=2, eval_batches=2, batch_size=8)
+
+
+def _cut(table_id, *labels, **changes):
+    """``TABLES[table_id]`` keeping only the rows with ``labels`` (all if none)."""
+    table = TABLES[table_id]
+    if labels:
+        changes["rows"] = tuple(row for row in table.rows if row.label in labels)
+    return replace(table, **changes)
+
+
+def _parameters(table, dataset_name="PEMS04"):
+    """Parameter count of each row's untrained model, keyed by label."""
+    dataset = get_dataset(dataset_name, "fast")
+    return {row.label: build_row(table, row, dataset).num_parameters() for row in table.rows}
+
+
+#: every harness path that trains must thread ``RunSettings.sink`` into its Trainer
+SINK_RUNS = {
+    "train_and_score": lambda s: train_and_score("gru", get_dataset("PEMS08", "fast"), 12, 12, s),
+    "table10": lambda s: run_table(_cut("table10", "With", datasets=("PEMS08",)), s),
+    "horizon_report": lambda s: horizon_report.run(settings=s, dataset_name="PEMS08", models=("GRU",)),
+}
 
 
 class TestRunSettings:
@@ -51,12 +90,12 @@ class TestRunner:
         assert result["epochs_run"] == 0
         assert result["mae"] > 0
 
-    def test_settings_sink_threads_into_trainer(self):
+    @pytest.mark.parametrize("runner", list(SINK_RUNS))
+    def test_settings_sink_threads_into_trainer(self, runner):
         from repro.obs import ListSink
 
         sink = ListSink()
-        dataset = get_dataset("PEMS08", "fast")
-        train_and_score("gru", dataset, 12, 12, MICRO.with_overrides(sink=sink))
+        SINK_RUNS[runner](MICRO.with_overrides(sink=sink))
         kinds = {event["event"] for event in sink.events}
         assert {"train_begin", "epoch", "train_end"} <= kinds
 
@@ -110,25 +149,88 @@ class TestExperimentRegistry:
         expected = {f"table{i}" for i in range(4, 15)} | {"figure9", "figure10"}
         assert expected <= set(EXPERIMENTS)
         # companion analyses beyond the paper's numbered exhibits
-        assert {"attention_scaling", "horizon_report"} <= set(EXPERIMENTS)
+        assert {"attention_scaling", "horizon_report", "flow_extension"} <= set(EXPERIMENTS)
+        assert set(TABLES) <= set(EXPERIMENTS)
+
+
+class TestTableData:
+    """What the table data fixes before any training: models, costs, OOM cells."""
+
+    def test_registry_rows_match_hand_built_st_wa(self):
+        # Tables IX, XII and XIII build "st-wa" through the registry with overrides
+        hand_built = dict(model_dim=24, latent_dim=12, skip_dim=48, predictor_hidden=196)
+        dataset = get_dataset("PEMS04", "fast")
+        for table_id, label, history, changes in (
+            ("table9", "S=4,3", 12, {"window_sizes": (4, 3)}),
+            ("table12", "4", 12, {"latent_dim": 4}),
+            ("table13", "3", 72, {"num_proxies": 3}),
+        ):
+            table = _cut(table_id, label)
+            built = build_row(table, table.rows[0], dataset).state_dict()
+            expected = make_st_wa(
+                dataset.num_sensors, history=history, horizon=history, **{**hand_built, **changes}
+            ).state_dict()
+            assert built.keys() == expected.keys()
+            assert all(np.array_equal(built[key], expected[key]) for key in expected)
+
+    def test_table6_oom_pattern_at_all_four_datasets(self):
+        table = TABLES["table6"]
+        assert len(table.datasets) == 4
+        for dataset_name in table.datasets:
+            for row in table.rows:
+                paper_oom = dataset_name == "PEMS07" and row.model in ("STFGNN", "EnhanceNet")
+                assert is_oom(table, row, dataset_name) == paper_oom, (row.model, dataset_name)
+
+    def test_table8_memory_and_parameter_ordering(self):
+        table = TABLES["table8"]
+        dims = ModelDims(num_sensors=get_dataset("PEMS04", "fast").num_sensors, history=table.history)
+        memory = {row.label: activation_gb(model_family(row.model), dims) for row in table.rows}
+        assert memory["SA"] > memory["WA"]  # quadratic vs linear attention memory
+        params = _parameters(table)
+        assert params["WA-1"] == min(params.values())
+        assert params["ST-WA"] >= params["S-WA"] >= params["WA"] > params["WA-1"]
+
+    def test_table13_parameters_grow_with_p(self):
+        params = list(_parameters(TABLES["table13"]).values())
+        assert params == sorted(params) and len(set(params)) == len(params)
+
+    def test_variant_tables_keep_the_papers_row_labels(self):
+        labels = {table_id: [row.label for row in TABLES[table_id].rows] for table_id in TABLES}
+        assert labels["table7"] == ["GRU", "GRU+S", "GRU+ST", "ATT", "ATT+S", "ATT+ST"]
+        assert labels["table10"] == ["With", "Without"]
+        assert labels["table11"] == ["ST-WA", "Deterministic ST-WA"]
+        assert labels["table14"] == ["Mean Aggregator", "Our Aggregator"]
+        # Table X's rows differ only in the trainer's KL weight
+        with_kl, without_kl = TABLES["table10"].rows
+        assert with_kl.model == without_kl.model and with_kl.overrides == without_kl.overrides
+        assert with_kl.trainer["kl_weight"] > 0
+        assert without_kl.trainer["kl_weight"] == 0
+
+    def test_flow_latents_add_under_20_percent_parameters(self):
+        params = _parameters(TABLES["flow_extension"])
+        gaussian, flowed = params["ST-WA (Gaussian)"], params["ST-WA (planar flows)"]
+        assert gaussian < flowed < gaussian * 1.2
 
 
 class TestCheapExperimentRuns:
     """Micro-scope runs: validate structure, not accuracy."""
 
     def test_table4_structure(self):
-        result = EXPERIMENTS["table4"](settings=MICRO, datasets=("PEMS08",), models=("GRU", "ST-WA"))
+        table = _cut("table4", datasets=("PEMS08",), rows=(Row("GRU", "GRU"), Row("ST-WA", "ST-WA")))
+        result = run_table(table, MICRO)
         assert result.headers == ["Dataset", "Metric", "GRU", "ST-WA"]
         assert len(result.rows) == 3  # MAE/MAPE/RMSE for one dataset
+        assert all(len(row) == len(result.headers) for row in result.rows)
         assert any("*" in cell for row in result.rows for cell in row)
 
     def test_table5_structure(self):
-        result = EXPERIMENTS["table5"](settings=MICRO, models=("GRU", "ST-WA"), histories=(12, 24))
+        rows = tuple(Row(f"{m} (H={h})", m, history=h) for h in (12, 24) for m in ("GRU", "ST-WA"))
+        result = run_table(_cut("table5", rows=rows), MICRO)
         assert len(result.rows) == 3
         assert len(result.headers) == 1 + 4
 
     def test_table6_marks_oom(self):
-        result = EXPERIMENTS["table6"](settings=MICRO, datasets=("PEMS07",), models=("STFGNN", "ST-WA"))
+        result = run_table(_cut("table6", "STFGNN", "ST-WA", datasets=("PEMS07",)), MICRO)
         flat = [cell for row in result.rows for cell in row]
         assert "OOM" in flat
 
@@ -137,22 +239,35 @@ class TestCheapExperimentRuns:
         assert paper_scale_memory_gb("ST-WA", "PEMS07", 72) < 16
 
     def test_table7_structure(self):
-        result = EXPERIMENTS["table7"](settings=MICRO, datasets=("PEMS08",), models=("GRU", "GRU+ST"))
+        result = run_table(_cut("table7", "GRU", "GRU+ST", datasets=("PEMS08",)), MICRO)
         assert len(result.rows) == 3
+        assert result.notes[-1].endswith("/1 family-dataset chains this run.")
 
     def test_table8_reports_costs(self):
-        result = EXPERIMENTS["table8"](settings=MICRO, models=("WA-1", "ST-WA"))
+        result = run_table(_cut("table8", "WA-1", "ST-WA"), MICRO)
         row_labels = [row[0] for row in result.rows]
         assert "Training (s/epoch)" in row_labels
         assert "# Para" in row_labels
 
     def test_table9_structure(self):
-        result = EXPERIMENTS["table9"](settings=MICRO, configurations=((3, 2, 2), (12,)))
-        assert len(result.headers) == 3
+        result = run_table(_cut("table9", "S=3,2,2", "S=12"), MICRO)
+        assert result.headers == ["Metric", "S=3,2,2", "S=12"]
+        assert [row[0] for row in result.rows] == ["MAE", "MAPE", "RMSE"]
 
     def test_table12_structure(self):
-        result = EXPERIMENTS["table12"](settings=MICRO, sizes=(4, 8))
+        result = run_table(_cut("table12", "4", "8"), MICRO)
+        assert result.headers == ["k", "MAE", "MAPE", "RMSE"]
         assert [row[0] for row in result.rows] == ["4", "8"]
+
+    def test_horizon_report_persistence_error_grows_with_step(self):
+        result = horizon_report.run(settings=MICRO, models=("Persistence",))
+        persistence = result.extras["per_model"]["Persistence"]
+        assert persistence[12] > persistence[3]  # structural truth of the data
+
+    def test_figure9_latents_cluster_and_spread(self):
+        result = figure9.run(settings=MICRO, num_anchor_windows=40)
+        assert result.extras["z_purity"] > 0.3  # well above the 1/num_lanes random floor
+        assert result.extras["phi_spread"] > 0.0  # generated parameters vary across windows
 
     def test_attention_scaling_slopes(self):
         result = EXPERIMENTS["attention_scaling"](settings=MICRO, lengths=(16, 32, 64))
